@@ -15,14 +15,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
 #include "accel/experiments.hh"
 #include "common/config.hh"
+#include "common/log.hh"
 #include "noc/mesh_network.hh"
 #include "telemetry/json.hh"
 #include "telemetry/telemetry.hh"
@@ -144,6 +145,19 @@ extractFlag(int &argc, char **argv, const char *name,
     return found;
 }
 
+/** Parses --checkpoint-at strictly: all digits and > 0, else fatal. */
+Cycle
+parseCheckpointCycle(const std::string &value)
+{
+    const char *end = value.data() + value.size();
+    Cycle cycle = 0;
+    const auto [ptr, ec] = std::from_chars(value.data(), end, cycle);
+    if (ec != std::errc() || ptr != end || cycle == 0)
+        tenoc_fatal("--checkpoint-at wants a positive icnt cycle count, "
+                    "got '", value, "'");
+    return cycle;
+}
+
 /** Times one instrumented chip run and writes BENCH_telemetry.json.
  *  @return false if the run hit its cycle cap (likely deadlock; the
  *  chip printed a diagnostic snapshot). */
@@ -156,7 +170,7 @@ runTelemetryHarness(telemetry::TelemetryConfig cfg,
 
     // Canonical hash of this run's effective configuration, echoed
     // into the stats-JSON header and interval-CSV metadata so sweep
-    // tooling can content-address the outputs (docs/fleet.md).
+    // tooling can content-address the outputs (docs/telemetry.md).
     Config id_cfg;
     id_cfg.set("base", "baseline");
     id_cfg.set("workload", workload);
@@ -213,16 +227,14 @@ main(int argc, char **argv)
     // sees them (it rejects unknown arguments).
     const auto cfg = telemetry::parseTelemetryFlags(argc, argv);
 
-    // Checkpoint/restore flags (docs/fleet.md): --checkpoint-at N
-    // --checkpoint-out FILE snapshots the harness run mid-flight;
+    // Checkpoint/restore flags (docs/robustness.md): --checkpoint-at
+    // N --checkpoint-out FILE snapshots the harness run mid-flight;
     // --restore FILE resumes from a snapshot.
     RunOptions opts;
     std::string value;
     bool ckpt_flags = false;
     if (extractFlag(argc, argv, "checkpoint-at", value)) {
-        opts.checkpointAt =
-            static_cast<Cycle>(std::strtoull(value.c_str(), nullptr,
-                                             10));
+        opts.checkpointAt = parseCheckpointCycle(value);
         ckpt_flags = true;
     }
     if (extractFlag(argc, argv, "checkpoint-out", value)) {

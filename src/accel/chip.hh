@@ -84,39 +84,12 @@ class Chip
      */
     void scheduleCheckpoint(Cycle icnt_cycle, std::string path);
 
-    /**
-     * Arms recurring checkpoints: every `every` interconnect cycles
-     * the full state is sealed into `path` (written to `path.tmp`,
-     * then renamed, so a reader — or a retry resuming from the file —
-     * never sees a torn snapshot).  The cadence is anchored to
-     * absolute cycle numbers, so a run resumed from one of these
-     * checkpoints re-arms on the same schedule as the original.
-     * A failed write warns and disarms instead of killing the run:
-     * checkpointing is an insurance policy, not a correctness
-     * dependency.
-     */
-    void schedulePeriodicCheckpoint(Cycle every, std::string path);
-
-    /** Live counters handed to the progress callback during run(). */
-    struct Progress
+    /** True while a checkpoint armed by scheduleCheckpoint() has not
+     *  been written (e.g. the run ended before the armed cycle). */
+    bool checkpointPending() const
     {
-        Cycle icntCycle = 0;
-        Cycle coreCycle = 0;
-        std::uint64_t scalarInsts = 0;
-        std::uint64_t packetsEjected = 0;
-        unsigned kernel = 0;
-    };
-    using ProgressFn = std::function<void(const Progress &)>;
-
-    /**
-     * Registers a callback invoked every `every` interconnect cycles
-     * during run() (and once immediately before the first tick), with
-     * live cumulative counters.  The fleet worker uses this to stream
-     * heartbeat/telemetry frames to its supervisor; the callback must
-     * not mutate the chip.  Like the checkpoint schedule, the cadence
-     * is anchored to absolute cycle numbers.
-     */
-    void setProgressCallback(Cycle every, ProgressFn fn);
+        return checkpoint_at_ != 0 && !checkpoint_written_;
+    }
 
     /** Serializes clocks, network, MCs, and cores. */
     void save(SnapshotWriter &w) const;
@@ -154,8 +127,6 @@ class Chip
     void buildNetwork();
     void buildStatModel();
     void writeCheckpoint();
-    void writePeriodicCheckpoint();
-    Progress progressNow() const;
     void icntTick();
     void coreTick();
     void memTick();
@@ -200,17 +171,6 @@ class Chip
     Cycle checkpoint_at_ = 0; ///< 0 = no checkpoint armed
     std::string checkpoint_path_;
     bool checkpoint_written_ = false;
-
-    // Recurring checkpoints and progress heartbeats are per-attempt
-    // supervision plumbing: deliberately not serialized, so a resumed
-    // run re-arms its own schedule (anchored to absolute cycles) and
-    // the blob stays identical to an unsupervised run's.
-    Cycle periodic_every_ = 0; ///< 0 = no periodic checkpoints
-    Cycle periodic_next_ = 0;
-    std::string periodic_path_;
-    Cycle progress_every_ = 0; ///< 0 = no progress callback
-    Cycle progress_next_ = 0;
-    ProgressFn progress_fn_;
 
     /** Worker threads for the per-core-clock SIMT sweep (resolved from
      *  mesh.cycleThreads; 1 = serial).  Cores shard by index; their

@@ -42,22 +42,18 @@ runWorkload(const ChipParams &params, const KernelProfile &profile,
             tenoc_fatal("checkpoint cycle given without an output "
                         "file");
         chip.scheduleCheckpoint(opts.checkpointAt, opts.checkpointOut);
-    }
-    if (opts.checkpointEvery != 0) {
-        if (opts.checkpointEveryOut.empty())
-            tenoc_fatal("periodic checkpoint interval given without "
-                        "an output file");
-        chip.schedulePeriodicCheckpoint(opts.checkpointEvery,
-                                        opts.checkpointEveryOut);
-    }
-    if (opts.progressEvery != 0) {
-        if (!opts.onProgress)
-            tenoc_fatal("progress interval given without a callback");
-        chip.setProgressCallback(opts.progressEvery, opts.onProgress);
+    } else if (!opts.checkpointOut.empty()) {
+        tenoc_fatal("checkpoint output file '", opts.checkpointOut,
+                    "' given without a checkpoint cycle");
     }
     if (hub)
         chip.attachTelemetry(*hub);
     ChipResult result = chip.run();
+    if (chip.checkpointPending())
+        tenoc_fatal("run ended at icnt cycle ", result.icntCycles,
+                    " before the checkpoint armed at cycle ",
+                    opts.checkpointAt, "; no snapshot written to '",
+                    opts.checkpointOut, "'");
     if (hub)
         hub->writeOutputs(&chip.statGroup());
     return result;

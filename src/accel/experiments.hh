@@ -29,7 +29,7 @@ ChipResult runWorkload(const ChipParams &params,
                        const KernelProfile &profile,
                        telemetry::TelemetryHub *hub);
 
-/** Checkpoint/restore options for one run (docs/fleet.md). */
+/** Checkpoint/restore options for one run (docs/robustness.md). */
 struct RunOptions
 {
     /** Interconnect cycle to checkpoint at during the run (0 = off). */
@@ -38,19 +38,6 @@ struct RunOptions
     std::string checkpointOut;
     /** Snapshot file to resume from before running (empty = fresh). */
     std::string restoreFrom;
-
-    /** Recurring checkpoint cadence in icnt cycles (0 = off); the
-     *  fleet's retry-from-checkpoint insurance.  Writes are atomic
-     *  (tmp + rename) and anchored to absolute cycle numbers. */
-    Cycle checkpointEvery = 0;
-    /** File the recurring checkpoints overwrite. */
-    std::string checkpointEveryOut;
-
-    /** Progress callback cadence in icnt cycles (0 = off). */
-    Cycle progressEvery = 0;
-    /** Invoked with live counters every progressEvery icnt cycles
-     *  (heartbeat/telemetry streaming; must not mutate the chip). */
-    Chip::ProgressFn onProgress;
 };
 
 /**
@@ -58,6 +45,8 @@ struct RunOptions
  * `opts.restoreFrom` if given (fatal on mismatch), arms a one-shot
  * checkpoint if `opts.checkpointAt` is set, then runs to completion.
  * The chip must be configured identically to the checkpointing run.
+ * fatal() if `checkpointAt` and `checkpointOut` are not given together,
+ * or if the run ends before the armed checkpoint is written.
  */
 ChipResult runWorkload(const ChipParams &params,
                        const KernelProfile &profile,

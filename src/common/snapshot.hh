@@ -9,7 +9,7 @@
  * file format carries a magic word, a snapshot format version, and the
  * simulator version string; loading rejects mismatches up front so a
  * checkpoint can never be silently interpreted by an incompatible
- * simulator build (see docs/fleet.md for the compatibility rules).
+ * simulator build (see docs/robustness.md for the compatibility rules).
  *
  * Object identity: several restored containers may reference the same
  * heap object (e.g. all flits of one packet share one Packet).  The

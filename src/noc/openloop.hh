@@ -34,13 +34,6 @@ struct OpenLoopParams
     double saturationLatency = 300.0;
     std::uint64_t seed = 12345;
     /**
-     * Drive every source from one shared Rng (the pre-stream-split
-     * behavior) instead of per-source SplitMix64-derived streams.  Only
-     * for pinned-seed compatibility tests; shared-generator draws make
-     * every node's traffic depend on every other node's draw order.
-     */
-    bool legacySharedRng = false;
-    /**
      * Optional telemetry hub: attached to the network, aligned so the
      * interval CSV's warmup cycles land in a dedicated leading row, and
      * ticked/finished by the harness.  Not owned.

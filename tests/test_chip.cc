@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "accel/experiments.hh"
 
 namespace tenoc
@@ -98,23 +101,38 @@ TEST(Chip, DoubleNetworkRunsCleanly)
     EXPECT_GT(r.ipc, 1.0);
 }
 
-TEST(Chip, TorusConfigRunsCleanly)
+/** Closed-loop topology matrix: {mesh, torus} x concentration {1, 2},
+ *  with the runtime invariant checker armed. */
+class ChipTopology
+    : public ::testing::TestWithParam<std::tuple<TopoKind, unsigned>>
+{};
+
+TEST_P(ChipTopology, RunsCleanly)
 {
+    const auto [kind, conc] = GetParam();
     auto p = makeConfig(ConfigId::BASELINE_TB_DOR);
-    p.mesh.topo.kind = TopoKind::TORUS;
+    p.mesh.topo.kind = kind;
+    p.mesh.topo.concentration = conc;
+    p.mesh.validate = true;
     const auto r = runWorkload(p, quick("KM", 0.12));
     EXPECT_FALSE(r.timedOut);
     EXPECT_GT(r.ipc, 1.0);
 }
 
-TEST(Chip, ConcentratedMeshRunsCleanly)
+std::string
+topologyCaseName(
+    const ::testing::TestParamInfo<std::tuple<TopoKind, unsigned>> &info)
 {
-    auto p = makeConfig(ConfigId::BASELINE_TB_DOR);
-    p.mesh.topo.concentration = 2;
-    const auto r = runWorkload(p, quick("KM", 0.12));
-    EXPECT_FALSE(r.timedOut);
-    EXPECT_GT(r.ipc, 1.0);
+    const auto [kind, conc] = info.param;
+    return std::string(kind == TopoKind::TORUS ? "torus" : "mesh") +
+           "_c" + std::to_string(conc);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, ChipTopology,
+    ::testing::Combine(::testing::Values(TopoKind::MESH, TopoKind::TORUS),
+                       ::testing::Values(1u, 2u)),
+    topologyCaseName);
 
 TEST(Chip, McInjectionRatioIsManyToFewSkewed)
 {

@@ -126,11 +126,10 @@ TEST(Snapshot, ResumeMatchesThroughputEffective)
 }
 
 /**
- * The fleet acceptance shape: one warm-up checkpoint consumed by two
- * differently *scheduled* downstream runs (validation on; two cycle
- * threads).  Scheduler knobs are bit-exact by design, so both resumed
- * runs must land in the identical final state as the uninterrupted
- * reference.
+ * One warm-up checkpoint consumed by two differently *scheduled*
+ * downstream runs (validation on; two cycle threads).  Scheduler knobs
+ * are bit-exact by design, so both resumed runs must land in the
+ * identical final state as the uninterrupted reference.
  */
 TEST(Snapshot, WarmupFeedsTwoDownstreamConfigs)
 {
@@ -303,6 +302,39 @@ TEST(SnapshotDeathTest, ChipRefusesStructuralMismatch)
     EXPECT_DEATH(
         { victim.restoreFromFile(path, &error); }, "");
     std::remove(path.c_str());
+}
+
+TEST(SnapshotDeathTest, OutputFileWithoutCycleIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    RunOptions opts;
+    opts.checkpointOut = snapPath("orphan");
+    EXPECT_DEATH(
+        {
+            runWorkload(makeConfig(ConfigId::BASELINE_TB_DOR),
+                        scaleWorkload(findWorkload("MM"), 0.02), nullptr,
+                        opts);
+        },
+        "without a checkpoint cycle");
+}
+
+TEST(SnapshotDeathTest, CheckpointPastRunEndIsFatal)
+{
+    // The run ends long before the armed cycle, so no snapshot is
+    // written; that must not pass as success.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    RunOptions opts;
+    opts.checkpointAt = 999999999;
+    opts.checkpointOut = snapPath("late");
+    EXPECT_DEATH(
+        {
+            runWorkload(makeConfig(ConfigId::BASELINE_TB_DOR),
+                        scaleWorkload(findWorkload("MM"), 0.02), nullptr,
+                        opts);
+        },
+        "before the checkpoint armed");
+    std::ifstream written(opts.checkpointOut);
+    EXPECT_FALSE(written.good());
 }
 
 } // namespace
