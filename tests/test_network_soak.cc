@@ -31,6 +31,15 @@ struct SoakConfig
     bool sliced;
 };
 
+// Without a printer gtest lists the parameter as raw object bytes,
+// including the address of `name`, so the listed test name changed
+// from one process to the next.
+void
+PrintTo(const SoakConfig &cfg, std::ostream *os)
+{
+    *os << cfg.name;
+}
+
 class NetworkSoak : public ::testing::TestWithParam<SoakConfig>
 {};
 
