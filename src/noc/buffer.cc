@@ -12,19 +12,31 @@ namespace tenoc
 
 InputPort::InputPort(unsigned vcs, unsigned depth)
     : owned_(std::make_unique<VcSlabs>()), slab_(owned_.get()),
-      base_(0), nvcs_(vcs), depth_(depth)
+      base_(0), nvcs_(vcs), depth_(depth), word_base_(0),
+      words_((vcs + 63) / 64), first_bit_(0)
 {
     tenoc_assert(vcs >= 1 && depth >= 1, "bad input port geometry");
     owned_->configure(vcs, 0, depth);
+    VcSlabs::reserveWords(owned_->readyWords, NUM_READY_SETS * words_);
 }
 
 InputPort::InputPort(VcSlabs &slab, std::size_t base, unsigned vcs,
-                     unsigned depth)
-    : slab_(&slab), base_(base), nvcs_(vcs), depth_(depth)
+                     unsigned depth, std::size_t word_base,
+                     unsigned words, unsigned first_bit)
+    : slab_(&slab), base_(base), nvcs_(vcs), depth_(depth),
+      word_base_(word_base), words_(words), first_bit_(first_bit)
 {
     tenoc_assert(vcs >= 1 && depth >= 1, "bad input port geometry");
+    if (word_base == OWN_WORDS) {
+        words_ = (vcs + 63) / 64;
+        word_base_ = VcSlabs::reserveWords(slab.readyWords,
+                                           NUM_READY_SETS * words_);
+    }
     tenoc_assert(slab.depth() == depth &&
-                     base + vcs <= slab.numInputVcs(),
+                     base + vcs <= slab.numInputVcs() &&
+                     first_bit_ + vcs <= words_ * 64 &&
+                     word_base_ + NUM_READY_SETS * words_ <=
+                         slab.readyWords.size(),
                  "input port view exceeds slab");
 }
 
@@ -46,6 +58,8 @@ InputPort::push(Flit &&flit, Cycle now)
 #endif
     slab_->pushFlit(base_ + vc, std::move(flit));
     ++total_;
+    if (slab_->ringCount[base_ + vc] == 1)
+        syncReady(vc);
 }
 
 Flit
@@ -54,7 +68,10 @@ InputPort::pop(unsigned vc)
     tenoc_assert(slab_->ringCount[base_ + vc] != 0,
                  "pop() on empty VC");
     --total_;
-    return slab_->popFlit(base_ + vc);
+    Flit f = slab_->popFlit(base_ + vc);
+    if (slab_->ringCount[base_ + vc] == 0)
+        syncReady(vc);
+    return f;
 }
 
 void
@@ -74,7 +91,7 @@ InputPort::save(SnapshotWriter &w) const
 }
 
 void
-InputPort::restore(SnapshotReader &r)
+InputPort::restore(SnapshotReader &r, unsigned num_outputs)
 {
     r.tag("INPT");
     const std::uint64_t vcs = r.u64();
@@ -82,9 +99,27 @@ InputPort::restore(SnapshotReader &r)
     total_ = 0;
     for (unsigned vc = 0; vc < nvcs_; ++vc) {
         const std::size_t idx = base_ + vc;
-        slab_->inState[idx] = static_cast<VcState>(r.u8());
-        slab_->inOutPort[idx] = r.u32();
-        slab_->inOutVc[idx] = r.u32();
+        // ROUTING is never entered, and a VC in any state no stage
+        // serves would hang the network; an out-of-range route would
+        // index past the router's output arrays.
+        const std::uint8_t state = r.u8();
+        const std::uint32_t out_port = r.u32();
+        const std::uint32_t out_vc = r.u32();
+        const auto s = static_cast<VcState>(state);
+        if (s != VcState::IDLE && s != VcState::VC_ALLOC &&
+            s != VcState::ACTIVE) {
+            tenoc_fatal("snapshot: input VC ", vc, " has invalid state ",
+                        unsigned{state});
+        }
+        if (s != VcState::IDLE &&
+            (out_port >= num_outputs || out_vc >= nvcs_)) {
+            tenoc_fatal("snapshot: input VC ", vc, " routes to output (",
+                        out_port, ", ", out_vc, ") outside ", num_outputs,
+                        " ports x ", nvcs_, " VCs");
+        }
+        slab_->inState[idx] = s;
+        slab_->inOutPort[idx] = out_port;
+        slab_->inOutVc[idx] = out_vc;
         slab_->ringHead[idx] = 0;
         slab_->ringCount[idx] = 0;
         const std::uint64_t flits = r.u64();
@@ -92,6 +127,7 @@ InputPort::restore(SnapshotReader &r)
         for (std::uint64_t i = 0; i < flits; ++i)
             slab_->pushFlit(idx, loadFlit(r));
         total_ += flits;
+        syncReady(vc);
     }
 }
 

@@ -36,13 +36,21 @@ class InputPort
      */
     InputPort(unsigned vcs, unsigned depth);
 
+    /** word_base value asking a view to reserve its own words. */
+    static constexpr std::size_t OWN_WORDS = ~std::size_t{0};
+
     /**
      * View of `vcs` consecutive input VCs starting at global index
      * `base` inside `slab` (which must already be configured with ring
-     * depth `depth` and at least `base + vcs` input VCs).
+     * depth `depth` and at least `base + vcs` input VCs).  A router's
+     * port keeps its stage-ready bits at bits [first_bit, first_bit +
+     * vcs) of the router's `words`-word sets starting at
+     * slab.readyWords[word_base]; with OWN_WORDS the port reserves its
+     * own.
      */
     InputPort(VcSlabs &slab, std::size_t base, unsigned vcs,
-              unsigned depth);
+              unsigned depth, std::size_t word_base = OWN_WORDS,
+              unsigned words = 0, unsigned first_bit = 0);
 
     InputPort(InputPort &&) = default;
     InputPort &operator=(InputPort &&) = default;
@@ -80,7 +88,12 @@ class InputPort
 
     /** Per-VC pipeline state. */
     VcState state(unsigned vc) const { return slab_->inState[base_ + vc]; }
-    void setState(unsigned vc, VcState s) { slab_->inState[base_ + vc] = s; }
+    void
+    setState(unsigned vc, VcState s)
+    {
+        slab_->inState[base_ + vc] = s;
+        syncReady(vc);
+    }
 
     /** Output port assigned by route computation. */
     unsigned outPort(unsigned vc) const
@@ -126,10 +139,36 @@ class InputPort
     /** Serializes buffered flits and per-VC pipeline state. */
     void save(SnapshotWriter &w) const;
 
-    /** Restores state written by save() into this (empty) port. */
-    void restore(SnapshotReader &r);
+    /**
+     * Restores state written by save() into this (empty) port and
+     * rebuilds its stage-ready bits.  Fatal on a VC state outside
+     * IDLE/VC_ALLOC/ACTIVE, or on a non-idle VC whose output port is
+     * >= `num_outputs` or whose output VC is >= numVcs().
+     */
+    void restore(SnapshotReader &r, unsigned num_outputs);
 
   private:
+    /** Recomputes the three stage-ready bits of `vc` from its state
+     *  and ring count. */
+    void
+    syncReady(unsigned vc)
+    {
+        const std::size_t idx = base_ + vc;
+        const unsigned bit = first_bit_ + vc;
+        std::uint64_t *w =
+            slab_->readyWords.data() + word_base_ + (bit >> 6);
+        const std::uint64_t m = std::uint64_t{1} << (bit & 63);
+        const VcState s = slab_->inState[idx];
+        const bool buffered = slab_->ringCount[idx] != 0;
+        const auto put = [&](ReadySet set, bool on) {
+            std::uint64_t &x = w[set * words_];
+            x = on ? x | m : x & ~m;
+        };
+        put(RC_READY, s == VcState::IDLE && buffered);
+        put(VA_READY, s == VcState::VC_ALLOC);
+        put(SA_READY, s == VcState::ACTIVE && buffered);
+    }
+
     // When standalone, the port's private arena; null for views.
     // Declared before slab_ so the view pointer can target it.
     std::unique_ptr<VcSlabs> owned_;
@@ -138,6 +177,9 @@ class InputPort
     unsigned nvcs_;
     unsigned depth_;
     std::size_t total_ = 0;
+    std::size_t word_base_; ///< first stage-ready word (RC set)
+    unsigned words_;        ///< words per stage-ready set
+    unsigned first_bit_;    ///< bit of VC 0 within the sets
 };
 
 } // namespace tenoc

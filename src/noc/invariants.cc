@@ -49,6 +49,8 @@ violationKindName(Violation::Kind kind)
         return "connectivity";
       case Violation::Kind::ACTIVITY:
         return "activity";
+      case Violation::Kind::STAGE_WORDS:
+        return "stage_words";
     }
     return "unknown";
 }
@@ -103,9 +105,14 @@ void
 InvariantChecker::checkRouter(const Router &r,
                               std::vector<Violation> &out) const
 {
+    static constexpr const char *ready_names[NUM_READY_SETS] = {
+        "RC-pending", "VA-requesting", "SA-candidate"};
     const unsigned vcs = r.numVcs();
     const unsigned inputs = r.numInputs();
     const unsigned outputs = r.numOutputs();
+    const auto bit = [](std::uint64_t word, unsigned i) {
+        return ((word >> (i % 64)) & 1) != 0;
+    };
 
     for (unsigned in = 0; in < inputs; ++in) {
         for (unsigned vc = 0; vc < vcs; ++vc) {
@@ -119,6 +126,24 @@ InvariantChecker::checkRouter(const Router &r,
             }
             const VcState state = r.vcState(in, vc);
             const Flit *front = r.vcFront(in, vc);
+            // Each stage-ready bit must equal its recomputation.
+            const bool ready[NUM_READY_SETS] = {
+                state == VcState::IDLE && front,
+                state == VcState::VC_ALLOC,
+                state == VcState::ACTIVE && front};
+            const unsigned i = in * vcs + vc;
+            for (unsigned s = 0; s < NUM_READY_SETS; ++s) {
+                const bool got =
+                    bit(r.readyWord(static_cast<ReadySet>(s), i / 64), i);
+                if (got != ready[s]) {
+                    addViolation(out, Violation::Kind::STAGE_WORDS,
+                                 formatMessage(
+                                     "router ", r.id(), " input ", in,
+                                     " vc ", vc, ": ", ready_names[s],
+                                     " bit is ", got, ", VC state says ",
+                                     ready[s]));
+                }
+            }
             switch (state) {
               case VcState::IDLE:
                 // Between cycles an idle VC may already buffer the
@@ -232,6 +257,13 @@ InvariantChecker::checkRouter(const Router &r,
                                  "router ", r.id(), " output ", o, " vc ",
                                  vc, ": ", credits,
                                  " credits exceed bound ", bound));
+            }
+            if (bit(r.freeVcWord(o, vc / 64), vc) == r.outputVcOwned(o, vc)) {
+                addViolation(out, Violation::Kind::STAGE_WORDS,
+                             formatMessage(
+                                 "router ", r.id(), " output VC (", o,
+                                 ", ", vc, "): free bit disagrees with"
+                                 " ownership"));
             }
             if (!r.outputVcOwned(o, vc))
                 continue;

@@ -17,6 +17,8 @@
  *    Network::drained() equals the packets actually held by NIs plus
  *    tail flits in transit;
  *  - VC state-machine legality and output-VC ownership consistency;
+ *  - stage-ready words: every bit of each router's RC/VA/SA and
+ *    free-VC words equals its recomputation from the VC state;
  *  - buffer occupancy bounds and half-router connectivity compliance;
  *  - idle-skip activity: any component that could make progress is
  *    marked in its active set (a violation here means idle-skip would
@@ -62,7 +64,8 @@ struct Violation
         VC_OWNERSHIP,        ///< output-VC owner bookkeeping mismatch
         OCCUPANCY,           ///< buffer over capacity / counter drift
         CONNECTIVITY,        ///< half-router mask / port-range breach
-        ACTIVITY             ///< workable component not in active set
+        ACTIVITY,            ///< workable component not in active set
+        STAGE_WORDS          ///< stage-ready / free-VC word drift
     };
 
     Kind kind;

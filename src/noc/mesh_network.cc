@@ -404,32 +404,12 @@ MeshNetwork::cycle(Cycle now)
                 nis_[n]->injectPhase(now);
         }
         lap(&PhaseProfile::injectNs);
-        if (tracer_attached_) {
-            // Legacy whole-router ticks keep trace events in
-            // per-router RC/VA/SA order.
-            for (auto &r : routers_) {
-                if (!fe || !fe->routerFrozen(r->id()))
-                    r->compute(now);
-            }
-        } else {
-            // Batch each pipeline stage across all routers: one
-            // streaming pass per stage over the slab arrays.  Routers
-            // only interact through >= 1-cycle channels, so nothing a
-            // router's stage writes is visible to any other router
-            // until next cycle's readInputs, and reordering (RC all,
-            // VA all, SA all) is bit-identical to per-router ticks.
-            for (auto &r : routers_) {
-                if (!fe || !fe->routerFrozen(r->id()))
-                    r->routeCompute(now);
-            }
-            for (auto &r : routers_) {
-                if (!fe || !fe->routerFrozen(r->id()))
-                    r->vcAllocate(now);
-            }
-            for (auto &r : routers_) {
-                if (!fe || !fe->routerFrozen(r->id()))
-                    r->switchAllocate(now);
-            }
+        // One compute() per router: its stage-ready words let RC, VA
+        // and SA skip VCs they cannot serve, and trace events come out
+        // in per-router RC/VA/SA order.
+        for (auto &r : routers_) {
+            if (!fe || !fe->routerFrozen(r->id()))
+                r->compute(now);
         }
         lap(&PhaseProfile::computeNs);
         for (NodeId n = 0; n < topo_.numNodes(); ++n) {
@@ -458,34 +438,13 @@ MeshNetwork::cycle(Cycle now)
             nis_[n]->injectPhase(now);
     });
     lap(&PhaseProfile::injectNs);
-    if (tracer_attached_) {
-        router_active_.forEach([&](unsigned n) {
-            if (routers_[n]->bufferedFlits() &&
-                (!fe || !fe->routerFrozen(n))) {
-                routers_[n]->compute(now);
-            }
-        });
-    } else {
-        // Batched stages (see the full-sweep branch above for why this
-        // is bit-exact).  Each stage's own O(vcs) eligibility scan
-        // subsumes the bufferedFlits() guard: with nothing buffered
-        // every stage is a no-op.  Routers marked mid-pass by a
-        // channel send have their new flit still in flight (>= 1 cycle
-        // of latency), so any pass that visits them no-ops — exactly
-        // what the whole-router tick did.
-        router_active_.forEach([&](unsigned n) {
-            if (!fe || !fe->routerFrozen(n))
-                routers_[n]->routeCompute(now);
-        });
-        router_active_.forEach([&](unsigned n) {
-            if (!fe || !fe->routerFrozen(n))
-                routers_[n]->vcAllocate(now);
-        });
-        router_active_.forEach([&](unsigned n) {
-            if (!fe || !fe->routerFrozen(n))
-                routers_[n]->switchAllocate(now);
-        });
-    }
+    // A router marked mid-pass by a channel send has its new flit
+    // still in flight (>= 1 cycle of latency), so visiting it is a
+    // no-op, as is computing a router with nothing buffered.
+    router_active_.forEach([&](unsigned n) {
+        if (!fe || !fe->routerFrozen(n))
+            routers_[n]->compute(now);
+    });
     lap(&PhaseProfile::computeNs);
     ni_active_.forEach([&](unsigned n) {
         if (ni_slabs_.ejOccupancy[n] != 0)
@@ -586,31 +545,9 @@ MeshNetwork::engineCycle(Cycle now)
         lap(&PhaseProfile::bookkeepingNs);
         runPhase([&](unsigned s) {
             const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            if (tracer_attached_) {
-                // Whole-router ticks keep trace events in per-router
-                // RC/VA/SA order (shards run inline under a tracer).
-                router_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                    if (routers_[n]->bufferedFlits() &&
-                        (!fe || !fe->routerFrozen(n))) {
-                        routers_[n]->compute(now);
-                    }
-                });
-                return;
-            }
-            // Batched pipeline stages over this shard's slab slice
-            // (bit-exact: routers only interact across >= 1-cycle
-            // channels; see the serial scheduler).
             router_active_.forEachInRange(lo, hi, [&](unsigned n) {
                 if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->routeCompute(now);
-            });
-            router_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->vcAllocate(now);
-            });
-            router_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->switchAllocate(now);
+                    routers_[n]->compute(now);
             });
         });
         lap(&PhaseProfile::computeNs);
@@ -651,24 +588,9 @@ MeshNetwork::engineCycle(Cycle now)
         lap(&PhaseProfile::bookkeepingNs);
         runPhase([&](unsigned s) {
             const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            if (tracer_attached_) {
-                for (unsigned n = lo; n < hi; ++n) {
-                    if (!fe || !fe->routerFrozen(n))
-                        routers_[n]->compute(now);
-                }
-                return;
-            }
             for (unsigned n = lo; n < hi; ++n) {
                 if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->routeCompute(now);
-            }
-            for (unsigned n = lo; n < hi; ++n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->vcAllocate(now);
-            }
-            for (unsigned n = lo; n < hi; ++n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->switchAllocate(now);
+                    routers_[n]->compute(now);
             }
         });
         lap(&PhaseProfile::computeNs);

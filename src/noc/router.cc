@@ -50,22 +50,28 @@ void
 Router::initPorts()
 {
     const unsigned vcs = nvcs_;
+    words_ = (numInputs() * vcs + 63) / 64;
+    vc_words_ = (vcs + 63) / 64;
+    in_words_ = (numInputs() + 63) / 64;
+    // This router's private stage-ready and free-VC words.
+    ready_base_ = VcSlabs::reserveWords(slab_->readyWords,
+                                        NUM_READY_SETS * words_);
+    free_base_ = VcSlabs::reserveWords(slab_->freeVcWords,
+                                       numOutputs() * vc_words_);
+    rebuildFreeVcs();
     inputs_.reserve(numInputs());
     for (unsigned in = 0; in < numInputs(); ++in) {
         inputs_.emplace_back(*slab_, in_base_ + in * vcs, vcs,
-                             params_.vcDepth);
+                             params_.vcDepth, ready_base_, words_,
+                             in * vcs);
     }
     outputs_.resize(numOutputs());
     in_links_.resize(NUM_DIRS);
     sa_input_arb_.assign(numInputs(), RoundRobinArbiter(vcs));
     mask_alloc_ = numInputs() * vcs <= 64;
-    va_out_reqs_.resize(numOutputs());
+    va_reqs_.resize(numOutputs() * words_);
     sa_out_mask_.resize(numOutputs());
-    va_words_ = (numInputs() * vcs + 63) / 64;
-    vc_words_ = (vcs + 63) / 64;
-    in_words_ = (numInputs() + 63) / 64;
     if (!mask_alloc_) {
-        va_wide_reqs_.resize(numOutputs() * va_words_);
         sa_vc_words_.resize(vc_words_);
         sa_out_words_.resize(numOutputs() * in_words_);
     }
@@ -77,6 +83,19 @@ Router::initPorts()
         // mesh outputs gain vcDepth credits when wired via
         // connectOutput(); ejection capacity is governed by the NI
         // sink, not credits.
+    }
+}
+
+void
+Router::rebuildFreeVcs()
+{
+    for (unsigned o = 0; o < numOutputs(); ++o) {
+        std::uint64_t *free = freeVcs(o);
+        std::fill(free, free + vc_words_, 0);
+        for (unsigned vc = 0; vc < nvcs_; ++vc) {
+            if (!slab_->outOwned[ov(o, vc)])
+                free[vc >> 6] |= std::uint64_t{1} << (vc & 63);
+        }
     }
 }
 
@@ -202,17 +221,75 @@ Router::readInputs(Cycle now)
 void
 Router::compute(Cycle now)
 {
-    routeCompute(now);
+    routeCompute();
     vcAllocate(now);
     switchAllocate(now);
 }
 
+namespace
+{
+
+/** Network entry time of a flit's packet (for age priority). */
 Cycle
-Router::packetAge(const Flit &f)
+packetAge(const Flit &f)
 {
     return f.pkt->injectedCycle != INVALID_CYCLE
         ? f.pkt->injectedCycle : f.pkt->createdCycle;
 }
+
+/**
+ * Age-priority pick among the set bits of `words`: the requestor i
+ * whose front flit `front_of(i)` belongs to the oldest packet, the
+ * lowest i on ties, or `none` without requestors.
+ */
+template <typename FrontOf>
+unsigned
+oldestRequestor(const std::uint64_t *words, unsigned nwords,
+                unsigned none, FrontOf &&front_of)
+{
+    unsigned win = none;
+    Cycle best = INVALID_CYCLE;
+    for (unsigned w = 0; w < nwords; ++w) {
+        for (std::uint64_t m = words[w]; m != 0; m &= m - 1) {
+            const unsigned i =
+                w * 64 + static_cast<unsigned>(std::countr_zero(m));
+            const Cycle age = packetAge(front_of(i));
+            if (win == none || age < best) {
+                best = age;
+                win = i;
+            }
+        }
+    }
+    return win;
+}
+
+/** @return true if any of the `n` words is nonzero. */
+bool
+anySet(const std::uint64_t *words, unsigned n)
+{
+    for (unsigned w = 0; w < n; ++w) {
+        if (words[w] != 0)
+            return true;
+    }
+    return false;
+}
+
+/** Lowest set bit of `words` in [lo, hi), or hi if there is none. */
+unsigned
+firstSetInRange(const std::uint64_t *words, unsigned lo, unsigned hi)
+{
+    while (lo < hi) {
+        const std::uint64_t w = words[lo >> 6] >> (lo & 63);
+        if (w != 0) {
+            return std::min(
+                hi, lo + static_cast<unsigned>(std::countr_zero(w)));
+        }
+        lo = (lo | 63) + 1;
+    }
+    return hi;
+}
+
+} // namespace
 
 unsigned
 Router::nextEjectionPort()
@@ -223,29 +300,18 @@ Router::nextEjectionPort()
 }
 
 void
-Router::routeCompute(Cycle now)
+Router::routeCompute()
 {
-    (void)now;
     const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
-    // Contiguous-scan early-out: RC only acts on an idle VC with a
-    // buffered head flit; with none present the stage is a no-op.
-    const VcState *st = slab_->inState.data() + in_base_;
-    const std::uint32_t *cnt = slab_->ringCount.data() + in_base_;
-    bool eligible = false;
-    for (unsigned i = 0; i < n; ++i) {
-        if (st[i] == VcState::IDLE && cnt[i] != 0) {
-            eligible = true;
-            break;
-        }
-    }
-    if (!eligible)
-        return;
-    for (unsigned in = 0; in < numInputs(); ++in) {
-        for (unsigned vc = 0; vc < vcs; ++vc) {
+    const std::uint64_t *rc = ready(RC_READY);
+    for (unsigned w = 0; w < words_; ++w) {
+        // Each routed VC leaves the set (setState), so walk a copy.
+        for (std::uint64_t m = rc[w]; m != 0; m &= m - 1) {
+            const unsigned i =
+                w * 64 + static_cast<unsigned>(std::countr_zero(m));
+            const unsigned in = i / vcs;
+            const unsigned vc = i % vcs;
             auto &port = inputs_[in];
-            if (port.state(vc) != VcState::IDLE || port.empty(vc))
-                continue;
             const Flit &head = port.front(vc);
             tenoc_assert(head.head,
                          "non-head flit at front of idle VC (router ",
@@ -277,141 +343,119 @@ Router::routeCompute(Cycle now)
 }
 
 void
-Router::vcAllocate(Cycle now)
+Router::grantVc(unsigned o, unsigned idx, Cycle now)
 {
-    if (!mask_alloc_) {
-        vcAllocateWide(now);
+    const unsigned in = idx / nvcs_;
+    const unsigned vc = idx % nvcs_;
+    const unsigned base = inputs_[in].baseVc(vc);
+    const unsigned end = base + params_.vcMap.vcsPerClass;
+    std::uint64_t *free = freeVcs(o);
+    const unsigned granted = firstSetInRange(free, base, end);
+    // No eligible VC free: the requestor retries next cycle.  Other
+    // requestors may still want different (protocol/routing class) VCs.
+    if (granted == end)
         return;
-    }
-    const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
-    // One contiguous pass over the state slab builds the per-output
-    // requestor masks (bit i = input VC i wants this output); outputs
-    // with no requestors are skipped entirely, which is bit-exact
-    // because an arbiter only advances when a grant is accepted.
-    const VcState *st = slab_->inState.data() + in_base_;
-    const std::uint32_t *op = slab_->inOutPort.data() + in_base_;
-    bool any = false;
-    std::fill(va_out_reqs_.begin(), va_out_reqs_.end(), 0);
-    for (unsigned i = 0; i < n; ++i) {
-        if (st[i] == VcState::VC_ALLOC) {
-            va_out_reqs_[op[i]] |= std::uint64_t{1} << i;
-            any = true;
-        }
-    }
-    if (!any)
-        return;
-    for (unsigned o = 0; o < numOutputs(); ++o) {
-        std::uint64_t reqs = va_out_reqs_[o];
-        if (reqs == 0)
-            continue;
-        auto &out = outputs_[o];
-        // Grant output VCs in round-robin requestor order until the
-        // eligible VCs run out.
-        while (reqs != 0) {
-            const unsigned idx = out.vaArb.grantMask(reqs);
-            const unsigned in = idx / vcs;
-            const unsigned vc = idx % vcs;
-            const unsigned base = inputs_[in].baseVc(vc);
-            unsigned granted = vcs;
-            for (unsigned l = 0; l < params_.vcMap.vcsPerClass; ++l) {
-                const unsigned cand = base + l;
-                if (!slab_->outOwned[ov(o, cand)]) {
-                    granted = cand;
-                    break;
-                }
-            }
-            reqs &= ~(std::uint64_t{1} << idx);
-            if (granted == vcs) {
-                // No eligible VC free; the requestor retries next
-                // cycle.  Other requestors may still want different
-                // (protocol/routing class) VCs.
-                continue;
-            }
-            const std::size_t g = ov(o, granted);
-            slab_->outOwned[g] = 1;
-            slab_->outOwnerIn[g] = in;
-            slab_->outOwnerVc[g] = vc;
-            inputs_[in].setOutVc(vc, granted);
-            inputs_[in].setState(vc, VcState::ACTIVE);
-            out.vaArb.accept(idx);
-            if (tracer_) {
-                const Packet &pkt = *inputs_[in].front(vc).pkt;
-                if (tracer_->wants(pkt.id))
-                    tracer_->instant("va", id_, pkt.id, now);
-            }
-        }
+    free[granted >> 6] &= ~(std::uint64_t{1} << (granted & 63));
+    const std::size_t g = ov(o, granted);
+    slab_->outOwned[g] = 1;
+    slab_->outOwnerIn[g] = in;
+    slab_->outOwnerVc[g] = vc;
+    inputs_[in].setOutVc(vc, granted);
+    inputs_[in].setState(vc, VcState::ACTIVE);
+    outputs_[o].vaArb.accept(idx);
+    if (tracer_) {
+        const Packet &pkt = *inputs_[in].front(vc).pkt;
+        if (tracer_->wants(pkt.id))
+            tracer_->instant("va", id_, pkt.id, now);
     }
 }
 
 void
-Router::vcAllocateWide(Cycle now)
+Router::vcAllocate(Cycle now)
 {
-    const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
-    const VcState *st = slab_->inState.data() + in_base_;
-    const std::uint32_t *op = slab_->inOutPort.data() + in_base_;
-    // One contiguous pass builds the per-output requestor word arrays
-    // (bit i of output o's set = input VC i wants o) — the same
-    // request sets as the single-word fast path, just spread over
-    // va_words_ words per output.
-    std::fill(va_wide_reqs_.begin(), va_wide_reqs_.end(), 0);
-    bool any = false;
-    for (unsigned i = 0; i < n; ++i) {
-        if (st[i] == VcState::VC_ALLOC) {
-            va_wide_reqs_[op[i] * va_words_ + (i >> 6)] |=
-                std::uint64_t{1} << (i & 63);
-            any = true;
-        }
-    }
-    if (!any)
+    const std::uint64_t *va = ready(VA_READY);
+    if (!anySet(va, words_))
         return;
-    for (unsigned o = 0; o < numOutputs(); ++o) {
-        std::uint64_t *reqs = va_wide_reqs_.data() + o * va_words_;
-        std::uint64_t live = 0;
-        for (unsigned w = 0; w < va_words_; ++w)
-            live |= reqs[w];
-        if (live == 0)
-            continue;
-        auto &out = outputs_[o];
-        // Grant output VCs in round-robin requestor order until the
-        // eligible VCs run out.
-        while (true) {
-            const unsigned idx = out.vaArb.grantWords(reqs, va_words_);
-            if (idx >= n)
-                break;
-            const unsigned in = idx / vcs;
-            const unsigned vc = idx % vcs;
-            const unsigned base = inputs_[in].baseVc(vc);
-            unsigned granted = vcs;
-            for (unsigned l = 0; l < params_.vcMap.vcsPerClass; ++l) {
-                const unsigned cand = base + l;
-                if (!slab_->outOwned[ov(o, cand)]) {
-                    granted = cand;
-                    break;
-                }
-            }
-            reqs[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-            if (granted == vcs) {
-                // No eligible VC free; the requestor retries next
-                // cycle.  Other requestors may still want different
-                // (protocol/routing class) VCs.
-                continue;
-            }
-            const std::size_t g = ov(o, granted);
-            slab_->outOwned[g] = 1;
-            slab_->outOwnerIn[g] = in;
-            slab_->outOwnerVc[g] = vc;
-            inputs_[in].setOutVc(vc, granted);
-            inputs_[in].setState(vc, VcState::ACTIVE);
-            out.vaArb.accept(idx);
-            if (tracer_) {
-                const Packet &pkt = *inputs_[in].front(vc).pkt;
-                if (tracer_->wants(pkt.id))
-                    tracer_->instant("va", id_, pkt.id, now);
-            }
+    // Per-output requestor sets (bit i = input VC i wants this output)
+    // from the set bits of the VA words.  A requestor whose VC class
+    // has no free VC on its output is left out: its request would
+    // fail, and a failed request moves no arbiter.  The grant loop
+    // below consumes every bit, so the sets start each call empty.
+    const unsigned n = numInputs() * nvcs_;
+    const std::uint32_t *op = slab_->inOutPort.data() + in_base_;
+    const std::uint32_t *base = slab_->inBaseVc.data() + in_base_;
+    const unsigned per_class = params_.vcMap.vcsPerClass;
+    for (unsigned w = 0; w < words_; ++w) {
+        for (std::uint64_t m = va[w]; m != 0; m &= m - 1) {
+            const unsigned i =
+                w * 64 + static_cast<unsigned>(std::countr_zero(m));
+            const unsigned end = base[i] + per_class;
+            if (firstSetInRange(freeVcs(op[i]), base[i], end) != end)
+                va_reqs_[op[i] * words_ + w] |= std::uint64_t{1} << (i & 63);
         }
     }
+    // Grant output VCs in round-robin requestor order; a request can
+    // still fail when an earlier grant took its class's last free VC.
+    for (unsigned o = 0; o < numOutputs(); ++o) {
+        std::uint64_t *reqs = va_reqs_.data() + o * words_;
+        if (!anySet(reqs, words_))
+            continue;
+        for (unsigned idx = outputs_[o].vaArb.grantWords(reqs, words_);
+             idx < n; idx = outputs_[o].vaArb.grantWords(reqs, words_)) {
+            reqs[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+            grantVc(o, idx, now);
+        }
+    }
+}
+
+inline bool
+Router::saEligible(const InputPort &port, unsigned vc, Cycle now) const
+{
+    // A flit spends `pipelineDepth` cycles in the router (it departs no
+    // earlier than arrival + depth), giving the paper's 5-cycle hops
+    // for 4-stage routers + 1-cycle channels (Sec. III-B).
+    if (port.front(vc).enqueueCycle + params_.pipelineDepth > now)
+        return false; // still in the router pipeline
+    const unsigned o = port.outPort(vc);
+    if (isEjection(o)) {
+        tenoc_assert(sink_, "no ejection sink attached");
+        return sink_->ejectReady(o - NUM_DIRS);
+    }
+    return slab_->outCredits[ov(o, port.outVc(vc))] != 0;
+}
+
+void
+Router::traverse(unsigned in, unsigned vc, unsigned o, Cycle now)
+{
+    Flit flit = inputs_[in].pop(vc);
+    const unsigned out_vc = inputs_[in].outVc(vc);
+    const bool tail = flit.tail;
+    if (!isInjection(in) && in_links_[in].creditOut)
+        in_links_[in].creditOut->send(Credit{flit.vc}, now);
+    if (tracer_ && flit.head && tracer_->wants(flit.pkt->id)) {
+        tracer_->complete(isEjection(o) ? "eject_hop" : "hop", id_,
+                          flit.pkt->id, flit.enqueueCycle, now);
+    }
+    flit.vc = out_vc;
+    if (isEjection(o)) {
+        sink_->ejectFlit(o - NUM_DIRS, std::move(flit), now);
+    } else {
+        auto &credits = slab_->outCredits[ov(o, out_vc)];
+        tenoc_assert(credits > 0, "SA granted without credit");
+        --credits;
+        outputs_[o].flitOut->send(std::move(flit), now);
+        ++link_flits_[o];
+    }
+    if (tail) {
+        slab_->outOwned[ov(o, out_vc)] = 0;
+        freeVcs(o)[out_vc >> 6] |= std::uint64_t{1} << (out_vc & 63);
+        inputs_[in].setState(vc, VcState::IDLE);
+    }
+    ++flits_traversed_;
+    if (net_traversed_)
+        ++*net_traversed_;
+    sa_input_arb_[in].accept(vc);
+    outputs_[o].saArb.accept(in);
 }
 
 void
@@ -421,130 +465,49 @@ Router::switchAllocate(Cycle now)
         switchAllocateWide(now);
         return;
     }
-    const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
-    // One contiguous pass over the state slab finds every ACTIVE VC
-    // with a buffered flit (bit i = input VC i); the expensive per-flit
-    // eligibility checks below only touch those bits.
-    const VcState *st = slab_->inState.data() + in_base_;
-    const std::uint32_t *cnt = slab_->ringCount.data() + in_base_;
-    std::uint64_t cand = 0;
-    for (unsigned i = 0; i < n; ++i) {
-        if (st[i] == VcState::ACTIVE && cnt[i] != 0)
-            cand |= std::uint64_t{1} << i;
-    }
+    std::uint64_t cand = ready(SA_READY)[0];
     if (cand == 0)
         return;
-
-    // Input stage: each input port nominates one ready VC.
-    auto &nominee = sa_nominee_;
-    nominee.assign(numInputs(), vcs);
-    std::fill(sa_out_mask_.begin(), sa_out_mask_.end(), 0);
-    const std::uint64_t vc_mask =
-        vcs >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << vcs) - 1;
-    bool any_nominee = false;
-    for (unsigned in = 0; in < numInputs(); ++in) {
-        std::uint64_t req = (cand >> (in * vcs)) & vc_mask;
+    // Input stage: each input port with candidates nominates one ready
+    // VC.  The mask path has >= 5 inputs, so vcs < 64.  The output
+    // stage clears every mask it reads, so they start each call empty.
+    const unsigned vcs = nvcs_;
+    const std::uint64_t vc_mask = (std::uint64_t{1} << vcs) - 1;
+    for (unsigned in = 0; cand != 0; ++in, cand >>= vcs) {
+        const std::uint64_t req = cand & vc_mask;
         if (req == 0)
             continue;
-        auto &port = inputs_[in];
+        const InputPort &port = inputs_[in];
         std::uint64_t eligible = 0;
         for (std::uint64_t m = req; m != 0; m &= m - 1) {
-            const unsigned vc =
-                static_cast<unsigned>(std::countr_zero(m));
-            const Flit &f = port.front(vc);
-            // A flit spends `pipelineDepth` cycles in the router (it
-            // departs no earlier than arrival + depth), giving the
-            // paper's 5-cycle hops for 4-stage routers + 1-cycle
-            // channels (Sec. III-B).
-            if (f.enqueueCycle + params_.pipelineDepth > now)
-                continue; // still in the router pipeline
-            const unsigned o = port.outPort(vc);
-            if (isEjection(o)) {
-                tenoc_assert(sink_, "no ejection sink attached");
-                if (!sink_->ejectReady(o - NUM_DIRS))
-                    continue;
-            } else {
-                if (slab_->outCredits[ov(o, port.outVc(vc))] == 0)
-                    continue;
-            }
-            eligible |= std::uint64_t{1} << vc;
+            const auto vc = static_cast<unsigned>(std::countr_zero(m));
+            if (saEligible(port, vc, now))
+                eligible |= std::uint64_t{1} << vc;
         }
         if (eligible == 0)
             continue;
-        unsigned win = vcs;
-        if (params_.agePriority) {
-            Cycle best = INVALID_CYCLE;
-            for (std::uint64_t m = eligible; m != 0; m &= m - 1) {
-                const unsigned vc =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const Cycle age = packetAge(port.front(vc));
-                if (win == vcs || age < best) {
-                    best = age;
-                    win = vc;
-                }
-            }
-        } else {
-            win = sa_input_arb_[in].grantMask(eligible);
-        }
-        nominee[in] = win;
+        const unsigned win = params_.agePriority
+            ? oldestRequestor(&eligible, 1, vcs,
+                              [&](unsigned vc) -> const Flit & {
+                                  return port.front(vc);
+                              })
+            : sa_input_arb_[in].grantMask(eligible);
+        sa_nominee_[in] = win;
         sa_out_mask_[port.outPort(win)] |= std::uint64_t{1} << in;
-        any_nominee = true;
     }
-    if (!any_nominee)
-        return;
-
-    // Output stage: one winner per output port.
+    // Output stage: one winner per output port, then traversal.
     for (unsigned o = 0; o < numOutputs(); ++o) {
         const std::uint64_t reqs = sa_out_mask_[o];
         if (reqs == 0)
             continue;
-        unsigned in = numInputs();
-        if (params_.agePriority) {
-            Cycle best = INVALID_CYCLE;
-            for (std::uint64_t m = reqs; m != 0; m &= m - 1) {
-                const unsigned c =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const Cycle age = packetAge(inputs_[c].front(nominee[c]));
-                if (in == numInputs() || age < best) {
-                    best = age;
-                    in = c;
-                }
-            }
-        } else {
-            in = outputs_[o].saArb.grantMask(reqs);
-        }
-        const unsigned vc = nominee[in];
-
-        // Switch traversal.
-        Flit flit = inputs_[in].pop(vc);
-        const unsigned out_vc = inputs_[in].outVc(vc);
-        const bool tail = flit.tail;
-        if (!isInjection(in) && in_links_[in].creditOut)
-            in_links_[in].creditOut->send(Credit{flit.vc}, now);
-        if (tracer_ && flit.head && tracer_->wants(flit.pkt->id)) {
-            tracer_->complete(isEjection(o) ? "eject_hop" : "hop", id_,
-                              flit.pkt->id, flit.enqueueCycle, now);
-        }
-        flit.vc = out_vc;
-        if (isEjection(o)) {
-            sink_->ejectFlit(o - NUM_DIRS, std::move(flit), now);
-        } else {
-            auto &credits = slab_->outCredits[ov(o, out_vc)];
-            tenoc_assert(credits > 0, "SA granted without credit");
-            --credits;
-            outputs_[o].flitOut->send(std::move(flit), now);
-            ++link_flits_[o];
-        }
-        if (tail) {
-            slab_->outOwned[ov(o, out_vc)] = 0;
-            inputs_[in].setState(vc, VcState::IDLE);
-        }
-        ++flits_traversed_;
-        if (net_traversed_)
-            ++*net_traversed_;
-        sa_input_arb_[in].accept(vc);
-        outputs_[o].saArb.accept(in);
+        sa_out_mask_[o] = 0;
+        const unsigned in = params_.agePriority
+            ? oldestRequestor(&reqs, 1, numInputs(),
+                              [&](unsigned c) -> const Flit & {
+                                  return inputs_[c].front(sa_nominee_[c]);
+                              })
+            : outputs_[o].saArb.grantMask(reqs);
+        traverse(in, sa_nominee_[in], o, now);
     }
 }
 
@@ -552,143 +515,52 @@ void
 Router::switchAllocateWide(Cycle now)
 {
     const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
-    // Contiguous-scan early-out: SA considers only active VCs with
-    // buffered flits; with none present neither stage builds a request,
-    // so no arbiter moves and no flit traverses — a no-op.
-    {
-        const VcState *st = slab_->inState.data() + in_base_;
-        const std::uint32_t *cnt = slab_->ringCount.data() + in_base_;
-        bool eligible = false;
-        for (unsigned i = 0; i < n; ++i) {
-            if (st[i] == VcState::ACTIVE && cnt[i] != 0) {
-                eligible = true;
-                break;
-            }
-        }
-        if (!eligible)
-            return;
-    }
-    // Input stage: each input port nominates one ready VC.  The
-    // eligibility set lives in a word array so the arbiter grant is
-    // O(words) (RoundRobinArbiter::grantWords), not an O(vcs) scan.
-    auto &nominee = sa_nominee_;
-    nominee.assign(numInputs(), vcs);
+    const std::uint64_t *sa = ready(SA_READY);
+    if (!anySet(sa, words_))
+        return;
+    // Input stage: each input port nominates one ready VC.  Its
+    // candidates are bits [in * vcs, (in + 1) * vcs) of the SA words;
+    // the eligibility set lives in a word array so the arbiter grant
+    // is O(words) (RoundRobinArbiter::grantWords).
     std::fill(sa_out_words_.begin(), sa_out_words_.end(), 0);
-    bool any_nominee = false;
     for (unsigned in = 0; in < numInputs(); ++in) {
-        auto &port = inputs_[in];
+        const InputPort &port = inputs_[in];
+        const unsigned lo = in * vcs;
+        const unsigned hi = lo + vcs;
         std::uint64_t *elig = sa_vc_words_.data();
         std::fill(sa_vc_words_.begin(), sa_vc_words_.end(), 0);
         bool any = false;
-        for (unsigned vc = 0; vc < vcs; ++vc) {
-            if (port.state(vc) != VcState::ACTIVE || port.empty(vc))
-                continue;
-            const Flit &f = port.front(vc);
-            // A flit spends `pipelineDepth` cycles in the router (it
-            // departs no earlier than arrival + depth), giving the
-            // paper's 5-cycle hops for 4-stage routers + 1-cycle
-            // channels (Sec. III-B).
-            if (f.enqueueCycle + params_.pipelineDepth > now)
-                continue; // still in the router pipeline
-            const unsigned o = port.outPort(vc);
-            if (isEjection(o)) {
-                tenoc_assert(sink_, "no ejection sink attached");
-                if (!sink_->ejectReady(o - NUM_DIRS))
-                    continue;
-            } else {
-                if (slab_->outCredits[ov(o, port.outVc(vc))] == 0)
-                    continue;
+        for (unsigned i = firstSetInRange(sa, lo, hi); i < hi;
+             i = firstSetInRange(sa, i + 1, hi)) {
+            const unsigned vc = i - lo;
+            if (saEligible(port, vc, now)) {
+                elig[vc >> 6] |= std::uint64_t{1} << (vc & 63);
+                any = true;
             }
-            elig[vc >> 6] |= std::uint64_t{1} << (vc & 63);
-            any = true;
         }
         if (!any)
             continue;
-        unsigned win = vcs;
-        if (params_.agePriority) {
-            Cycle best = INVALID_CYCLE;
-            for (unsigned w = 0; w < vc_words_; ++w) {
-                for (std::uint64_t m = elig[w]; m != 0; m &= m - 1) {
-                    const unsigned vc = w * 64 +
-                        static_cast<unsigned>(std::countr_zero(m));
-                    const Cycle age = packetAge(port.front(vc));
-                    if (win == vcs || age < best) {
-                        best = age;
-                        win = vc;
-                    }
-                }
-            }
-        } else {
-            win = sa_input_arb_[in].grantWords(elig, vc_words_);
-        }
-        nominee[in] = win;
+        const unsigned win = params_.agePriority
+            ? oldestRequestor(elig, vc_words_, vcs,
+                              [&](unsigned vc) -> const Flit & {
+                                  return port.front(vc);
+                              })
+            : sa_input_arb_[in].grantWords(elig, vc_words_);
+        sa_nominee_[in] = win;
         sa_out_words_[port.outPort(win) * in_words_ + (in >> 6)] |=
             std::uint64_t{1} << (in & 63);
-        any_nominee = true;
     }
-    if (!any_nominee)
-        return;
-
-    // Output stage: one winner per output port.
+    // Output stage: one winner per output port, then traversal.
     for (unsigned o = 0; o < numOutputs(); ++o) {
         const std::uint64_t *reqs = sa_out_words_.data() + o * in_words_;
-        std::uint64_t live = 0;
-        for (unsigned w = 0; w < in_words_; ++w)
-            live |= reqs[w];
-        if (live == 0)
-            continue;
-        unsigned in = numInputs();
-        if (params_.agePriority) {
-            Cycle best = INVALID_CYCLE;
-            for (unsigned w = 0; w < in_words_; ++w) {
-                for (std::uint64_t m = reqs[w]; m != 0; m &= m - 1) {
-                    const unsigned cand = w * 64 +
-                        static_cast<unsigned>(std::countr_zero(m));
-                    const Cycle age =
-                        packetAge(inputs_[cand].front(nominee[cand]));
-                    if (in == numInputs() || age < best) {
-                        best = age;
-                        in = cand;
-                    }
-                }
-            }
-        } else {
-            in = outputs_[o].saArb.grantWords(reqs, in_words_);
-        }
-        if (in >= numInputs())
-            continue;
-        const unsigned vc = nominee[in];
-
-        // Switch traversal.
-        Flit flit = inputs_[in].pop(vc);
-        const unsigned out_vc = inputs_[in].outVc(vc);
-        const bool tail = flit.tail;
-        if (!isInjection(in) && in_links_[in].creditOut)
-            in_links_[in].creditOut->send(Credit{flit.vc}, now);
-        if (tracer_ && flit.head && tracer_->wants(flit.pkt->id)) {
-            tracer_->complete(isEjection(o) ? "eject_hop" : "hop", id_,
-                              flit.pkt->id, flit.enqueueCycle, now);
-        }
-        flit.vc = out_vc;
-        if (isEjection(o)) {
-            sink_->ejectFlit(o - NUM_DIRS, std::move(flit), now);
-        } else {
-            auto &credits = slab_->outCredits[ov(o, out_vc)];
-            tenoc_assert(credits > 0, "SA granted without credit");
-            --credits;
-            outputs_[o].flitOut->send(std::move(flit), now);
-            ++link_flits_[o];
-        }
-        if (tail) {
-            slab_->outOwned[ov(o, out_vc)] = 0;
-            inputs_[in].setState(vc, VcState::IDLE);
-        }
-        ++flits_traversed_;
-        if (net_traversed_)
-            ++*net_traversed_;
-        sa_input_arb_[in].accept(vc);
-        outputs_[o].saArb.accept(in);
+        const unsigned in = params_.agePriority
+            ? oldestRequestor(reqs, in_words_, numInputs(),
+                              [&](unsigned c) -> const Flit & {
+                                  return inputs_[c].front(sa_nominee_[c]);
+                              })
+            : outputs_[o].saArb.grantWords(reqs, in_words_);
+        if (in < numInputs())
+            traverse(in, sa_nominee_[in], o, now);
     }
 }
 
@@ -779,7 +651,7 @@ Router::restore(SnapshotReader &r)
 {
     r.tag("RTRS");
     for (InputPort &in : inputs_) {
-        in.restore(r);
+        in.restore(r, numOutputs());
         // The VC-class base cached by RC is derived state outside the
         // snapshot format; rebuild it for VCs awaiting allocation.
         for (unsigned vc = 0; vc < nvcs_; ++vc) {
@@ -798,6 +670,7 @@ Router::restore(SnapshotReader &r)
         outputs_[o].vaArb.setPointer(r.u32());
         outputs_[o].saArb.setPointer(r.u32());
     }
+    rebuildFreeVcs();
     for (RoundRobinArbiter &arb : sa_input_arb_)
         arb.setPointer(r.u32());
     ej_rr_ = r.u32();

@@ -31,11 +31,11 @@
  * output VC ownership/credits) lives in a VcSlabs arena.  A router
  * built by MeshNetwork views contiguous index ranges of the network's
  * shared arena (see slab.hh); a standalone router owns a private one.
- * The pipeline stages (routeCompute/vcAllocate/switchAllocate) are
- * public so the network can batch one stage across all active routers
- * — each stage early-outs in O(vcs) contiguous loads when it has no
- * eligible VC, which is exactly the case where running it would have
- * been a no-op.
+ * The router also keeps three stage-ready word sets over its input VCs
+ * (RC-pending, VA-requesting, SA-candidate) and a word of free VCs per
+ * output.  InputPort updates them on each transition that changes them,
+ * so RC, VA and SA visit only the VCs they can serve: a stage whose
+ * word is zero costs one load.
  */
 
 #ifndef TENOC_NOC_ROUTER_HH
@@ -193,20 +193,9 @@ class Router
     // --- simulation phases (network drives these each icnt cycle) ---
     /** Phase 1: drain arriving flits and credits from channels. */
     void readInputs(Cycle now);
-    /** Phase 2: RC, VA, SA, ST. */
+    /** Phase 2: RC, VA, SA, ST.  A router with nothing buffered is a
+     *  no-op: every stage-ready word is zero. */
     void compute(Cycle now);
-
-    // Individual pipeline stages, exposed so MeshNetwork can batch one
-    // stage across all active routers (better locality than ticking a
-    // whole router at a time).  Each early-outs when no VC is eligible
-    // — a case in which running it would not change any state, return
-    // any grant, or emit any trace event, so skipping is bit-exact.
-    /** RC: assign output ports to idle VCs with buffered heads. */
-    void routeCompute(Cycle now);
-    /** VA: round-robin output-VC grants to routed head flits. */
-    void vcAllocate(Cycle now);
-    /** SA + ST: separable switch allocation, then traversal. */
-    void switchAllocate(Cycle now);
 
     /** @return true if no flits are buffered here (O(inputs)). */
     bool empty() const;
@@ -256,6 +245,16 @@ class Router
     unsigned outputCredits(unsigned out, unsigned vc) const
     {
         return slab_->outCredits[ov(out, vc)];
+    }
+    /** Word `w` of stage-ready set `s` (bit in * vcs + vc). */
+    std::uint64_t readyWord(ReadySet s, unsigned w) const
+    {
+        return ready(s)[w];
+    }
+    /** Word `w` of output `out`'s free-VC set (bit v = VC v unowned). */
+    std::uint64_t freeVcWord(unsigned out, unsigned w) const
+    {
+        return slab_->freeVcWords[free_base_ + out * vc_words_ + w];
     }
     /** @return true if output VC (`out`, `vc`) is owned by a packet. */
     bool outputVcOwned(unsigned out, unsigned vc) const
@@ -315,18 +314,59 @@ class Router
         return true;
     }
 
+    /**
+     * Flips input VC (`in`, `vc`)'s bit in stage-ready set `s`,
+     * desynchronizing it from the VC state (invariant mutation tests).
+     */
+    void
+    flipReadyBit(ReadySet s, unsigned in, unsigned vc)
+    {
+        const unsigned i = in * nvcs_ + vc;
+        slab_->readyWords[ready_base_ + s * words_ + (i >> 6)] ^=
+            std::uint64_t{1} << (i & 63);
+    }
+
   private:
     void initPorts();
+    /** Recomputes every output's free-VC words from outOwned. */
+    void rebuildFreeVcs();
 
-    // Fallback allocators for geometries whose requestor counts exceed
-    // 64 (so per-stage request state cannot pack into one word); the
-    // request sets live in uint64 word-mask arrays and grants come
-    // from RoundRobinArbiter::grantWords, so concentrated/high-radix
-    // routers keep O(words) arbitration instead of falling back to
-    // vector<bool> scans.  Produces grants identical to the mask fast
-    // paths in vcAllocate/switchAllocate.
-    void vcAllocateWide(Cycle now);
+    // Pipeline stages, run in this order by compute().  Each reads only
+    // the set bits of its stage-ready word.
+    /** RC: assign output ports to idle VCs with buffered heads. */
+    void routeCompute();
+    /** VA: round-robin output-VC grants to routed head flits. */
+    void vcAllocate(Cycle now);
+    /** SA + ST: separable switch allocation, then traversal. */
+    void switchAllocate(Cycle now);
+
+    // SA for geometries whose requestor counts exceed 64: the
+    // stage-ready and request sets span several words and grants come
+    // from RoundRobinArbiter::grantWords.  Produces grants identical to
+    // the single-word path in switchAllocate.
     void switchAllocateWide(Cycle now);
+
+    /** Grants requestor `idx` (in * vcs + vc) the lowest free output VC
+     *  of its class on output `o`, if there is one. */
+    void grantVc(unsigned o, unsigned idx, Cycle now);
+    /** @return true if the front flit of (`port`, `vc`) may traverse
+     *  this cycle: pipeline residency served, downstream space. */
+    bool saEligible(const InputPort &port, unsigned vc, Cycle now) const;
+    /** ST: moves the front flit of (`in`, `vc`) out through `o`. */
+    void traverse(unsigned in, unsigned vc, unsigned o, Cycle now);
+
+    /** First word of stage-ready set `s`. */
+    const std::uint64_t *
+    ready(ReadySet s) const
+    {
+        return slab_->readyWords.data() + ready_base_ + s * words_;
+    }
+    /** First free-VC word of output `out`. */
+    std::uint64_t *
+    freeVcs(unsigned out)
+    {
+        return slab_->freeVcWords.data() + free_base_ + out * vc_words_;
+    }
 
     bool isInjection(unsigned in) const { return in >= NUM_DIRS; }
     bool isEjection(unsigned out) const { return out >= NUM_DIRS; }
@@ -339,9 +379,6 @@ class Router
 
     /** Chooses an ejection output port round-robin. */
     unsigned nextEjectionPort();
-
-    /** Network entry time of a flit's packet (for age priority). */
-    static Cycle packetAge(const Flit &f);
 
     NodeId id_;
     const Topology &topo_;
@@ -356,6 +393,8 @@ class Router
     VcSlabs *slab_;
     std::size_t in_base_;  ///< first global input-VC index
     std::size_t out_base_; ///< first global output-VC index
+    std::size_t ready_base_ = 0; ///< first stage-ready word
+    std::size_t free_base_ = 0;  ///< first free-VC word
 
     std::vector<InputPort> inputs_;
 
@@ -388,19 +427,19 @@ class Router
     ArrivalScheduler *arrival_sched_ = nullptr;
     unsigned arrival_idx_ = 0;
 
+    // Word geometry.
+    unsigned words_ = 1;    ///< words per input-VC set (stage-ready, VA)
+    unsigned vc_words_ = 1; ///< words per VC set (free VCs, SA input)
+    unsigned in_words_ = 1; ///< words per input-port set
+
     // Allocation scratch, hoisted out of the per-cycle loops so the
     // hot path performs no heap allocation.
-    /** True when numInputs*vcs <= 64: request sets pack into single
-     *  words and the allocators run their mask fast paths. */
+    /** True when numInputs*vcs <= 64: SA request sets pack into single
+     *  words and switch allocation runs its mask fast path. */
     bool mask_alloc_ = true;
-    std::vector<std::uint64_t> va_out_reqs_; ///< per-output VA masks
     std::vector<std::uint64_t> sa_out_mask_; ///< per-output SA masks
-    // Wide-path word geometry (requestor counts above 64).
-    unsigned va_words_ = 1; ///< words per input-VC request set
-    unsigned vc_words_ = 1; ///< words per per-input VC set
-    unsigned in_words_ = 1; ///< words per input-port set
-    /** Per-output VA requestor words: numOutputs * va_words_. */
-    std::vector<std::uint64_t> va_wide_reqs_;
+    /** Per-output VA requestor words: numOutputs * words_. */
+    std::vector<std::uint64_t> va_reqs_;
     /** Wide SA input-stage eligibility words: vc_words_. */
     std::vector<std::uint64_t> sa_vc_words_;
     /** Per-output wide SA requestor words: numOutputs * in_words_. */

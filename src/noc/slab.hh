@@ -13,7 +13,12 @@
  *     rings packed back to back in one flit slab (ring i occupies
  *     slots [i*depth, (i+1)*depth)),
  *   - output-VC bookkeeping: owned flag, owning input (port, VC) and
- *     credit count, indexed by a global output-VC index.
+ *     credit count, indexed by a global output-VC index,
+ *   - stage-ready words: per-router bit sets over the router's local
+ *     input-VC index (port * vcs + vc) naming the VCs each pipeline
+ *     stage must serve, plus per-output words of unowned output VCs.
+ *     Each router reserves its own words, so no two routers (and no
+ *     two parallel-engine shards) ever write the same word.
  *
  * Routers receive contiguous index ranges in node order at network
  * construction, so the ActiveSet's ascending-index iteration streams
@@ -49,6 +54,21 @@ enum class VcState : std::uint8_t
     ACTIVE    ///< output VC held; flits may traverse the switch
 };
 
+/**
+ * Stage-ready word sets of one router, each over its local input-VC
+ * index: RC-pending (IDLE with a buffered flit), VA-requesting
+ * (VC_ALLOC) and SA-candidate (ACTIVE with a buffered flit).  They are
+ * derived from the state and ring-count arrays and kept in step by
+ * InputPort on every transition that can change them.
+ */
+enum ReadySet : unsigned
+{
+    RC_READY,
+    VA_READY,
+    SA_READY,
+    NUM_READY_SETS
+};
+
 /** SoA arena for one network's router/VC/flit hot state. */
 class VcSlabs
 {
@@ -58,7 +78,8 @@ class VcSlabs
     /**
      * Allocates (or re-initializes, reusing capacity) storage for
      * `input_vcs` input VCs with `depth`-flit rings and `output_vcs`
-     * output VCs.  All state resets to IDLE/unowned/zero-credit.
+     * output VCs.  All state resets to IDLE/unowned/zero-credit, and
+     * every reserved word set is released.
      */
     void
     configure(std::size_t input_vcs, std::size_t output_vcs,
@@ -80,6 +101,19 @@ class VcSlabs
         outOwnerIn.assign(output_vcs, 0);
         outOwnerVc.assign(output_vcs, 0);
         outCredits.assign(output_vcs, 0);
+        readyWords.clear();
+        freeVcWords.clear();
+    }
+
+    /** Appends `n` zeroed words to `words`; @return the first's index.
+     *  Routers and ports reserve their word sets this way at
+     *  construction. */
+    static std::size_t
+    reserveWords(std::vector<std::uint64_t> &words, std::size_t n)
+    {
+        const std::size_t base = words.size();
+        words.resize(base + n, 0);
+        return base;
     }
 
     unsigned depth() const { return depth_; }
@@ -156,17 +190,6 @@ class VcSlabs
         }
     }
 
-    /** Overwrites ring slot `i` (0 = head) of `vc_idx` directly;
-     *  restore-path helper (checkpoint). */
-    void
-    setRingSlot(std::size_t vc_idx, std::uint32_t i, Flit &&flit)
-    {
-        std::size_t pos = ringHead[vc_idx] + i;
-        while (pos >= depth_)
-            pos -= depth_;
-        flits[vc_idx * depth_ + pos] = std::move(flit);
-    }
-
     // --- input-VC state machines ---
     std::vector<VcState> inState;
     std::vector<std::uint32_t> inOutPort; ///< RC-assigned output port
@@ -181,6 +204,15 @@ class VcSlabs
     std::vector<std::uint32_t> outOwnerIn;
     std::vector<std::uint32_t> outOwnerVc;
     std::vector<std::uint32_t> outCredits;
+
+    // --- stage-ready words (derived; rebuilt on checkpoint restore) ---
+    /// Per router, NUM_READY_SETS consecutive sets of W words each,
+    /// W = ceil(router input VCs / 64); bit i of a set = local input
+    /// VC i.
+    std::vector<std::uint64_t> readyWords;
+    /// Per router output port, ceil(vcs / 64) words; bit v set while
+    /// output VC v is unowned.
+    std::vector<std::uint64_t> freeVcWords;
 
     // --- flit rings ---
     std::vector<std::uint32_t> ringHead;

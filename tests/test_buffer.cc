@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/snapshot.hh"
 #include "noc/buffer.hh"
 
 namespace tenoc
@@ -80,6 +81,52 @@ TEST(InputPortDeath, PopEmptyPanics)
 {
     InputPort port(1, 2);
     EXPECT_DEATH(port.pop(0), "empty");
+}
+
+/** A hand-built INPT record of one empty VC with the given fields. */
+SnapshotReader
+inputRecord(std::uint8_t state, std::uint32_t out_port,
+            std::uint32_t out_vc)
+{
+    SnapshotWriter w;
+    w.tag("INPT");
+    w.u64(1); // VCs
+    w.u8(state);
+    w.u32(out_port);
+    w.u32(out_vc);
+    w.u64(0); // buffered flits
+    return SnapshotReader(w.data());
+}
+
+TEST(InputPortDeath, RestoreRejectsCorruptVcFields)
+{
+    constexpr unsigned outputs = 5;
+    const auto restore = [](SnapshotReader r) {
+        InputPort port(1, 2);
+        port.restore(r, outputs);
+    };
+    // A state no stage serves (ROUTING is never entered) would hang.
+    EXPECT_EXIT(restore(inputRecord(7, 0, 0)),
+                ::testing::ExitedWithCode(1), "invalid state 7");
+    EXPECT_EXIT(restore(inputRecord(
+                    static_cast<std::uint8_t>(VcState::ROUTING), 0, 0)),
+                ::testing::ExitedWithCode(1), "invalid state 1");
+    // Out-of-range routes of a non-idle VC.
+    const auto active = static_cast<std::uint8_t>(VcState::ACTIVE);
+    EXPECT_EXIT(restore(inputRecord(active, outputs, 0)),
+                ::testing::ExitedWithCode(1), "outside 5 ports x 1 VCs");
+    EXPECT_EXIT(restore(inputRecord(active, 0, 1)),
+                ::testing::ExitedWithCode(1), "outside 5 ports x 1 VCs");
+}
+
+TEST(InputPort, RestoreAcceptsStaleRouteOfIdleVc)
+{
+    // An idle VC keeps whatever route its last packet used.
+    InputPort port(1, 2);
+    SnapshotReader r = inputRecord(0, 99, 99);
+    port.restore(r, 5);
+    EXPECT_EQ(port.state(0), VcState::IDLE);
+    EXPECT_TRUE(r.exhausted());
 }
 
 } // namespace

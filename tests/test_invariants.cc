@@ -166,6 +166,34 @@ TEST(Invariants, MutatedCreditIsCaught)
     EXPECT_TRUE(precise) << describe(vs);
 }
 
+TEST(Invariants, DesyncedStageWordIsCaught)
+{
+    MeshNetworkParams p;
+    MeshNetwork net(p);
+    ASSERT_TRUE(net.checker().audit(0).empty());
+
+    // Mark an empty IDLE VC as an SA candidate, as a missed
+    // InputPort transition would.
+    Router &r = net.router(net.topology().nodeAt(1, 1));
+    r.flipReadyBit(SA_READY, DIR_EAST, 1);
+    const auto vs = net.checker().audit(0);
+    ASSERT_FALSE(vs.empty());
+    EXPECT_TRUE(hasViolation(vs, Violation::Kind::STAGE_WORDS))
+        << describe(vs);
+    bool precise = false;
+    for (const auto &v : vs) {
+        if (v.kind == Violation::Kind::STAGE_WORDS &&
+            v.message.find("input 1 vc 1: SA-candidate") !=
+                std::string::npos) {
+            precise = true;
+        }
+    }
+    EXPECT_TRUE(precise) << describe(vs);
+
+    r.flipReadyBit(SA_READY, DIR_EAST, 1);
+    EXPECT_TRUE(net.checker().audit(0).empty());
+}
+
 TEST(Invariants, CorruptedInflightCounterIsCaught)
 {
     MeshNetworkParams p;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the VC router: connectivity rules, pipeline latency,
- * credit flow, and multi-port ejection.
+ * credit flow, multi-port ejection, and the stage-ready words.
  */
 
 #include <gtest/gtest.h>
@@ -303,6 +303,151 @@ TEST(Router, InjFreeSlotsTracksOccupancy)
     EXPECT_EQ(r.injFreeSlots(0, 0), 7u);
     EXPECT_EQ(r.bufferedFlits(), 1u);
     EXPECT_FALSE(r.empty());
+}
+
+/**
+ * Recomputes the router's stage-ready and free-VC words from its VC
+ * state and output-VC ownership, and expects the kept words to match.
+ */
+void
+expectWordsMatchState(const Router &r)
+{
+    const unsigned vcs = r.numVcs();
+    const unsigned words = (r.numInputs() * vcs + 63) / 64;
+    std::vector<std::uint64_t> want(NUM_READY_SETS * words, 0);
+    for (unsigned in = 0; in < r.numInputs(); ++in) {
+        for (unsigned vc = 0; vc < vcs; ++vc) {
+            const VcState st = r.vcState(in, vc);
+            const bool buffered = r.vcOccupancy(in, vc) != 0;
+            const unsigned i = in * vcs + vc;
+            const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+            if (st == VcState::IDLE && buffered)
+                want[RC_READY * words + i / 64] |= bit;
+            if (st == VcState::VC_ALLOC)
+                want[VA_READY * words + i / 64] |= bit;
+            if (st == VcState::ACTIVE && buffered)
+                want[SA_READY * words + i / 64] |= bit;
+        }
+    }
+    for (unsigned s = 0; s < NUM_READY_SETS; ++s) {
+        for (unsigned w = 0; w < words; ++w) {
+            EXPECT_EQ(r.readyWord(static_cast<ReadySet>(s), w),
+                      want[s * words + w])
+                << "set " << s << " word " << w;
+        }
+    }
+    for (unsigned o = 0; o < r.numOutputs(); ++o) {
+        std::uint64_t free = 0;
+        for (unsigned vc = 0; vc < vcs; ++vc) {
+            if (!r.outputVcOwned(o, vc))
+                free |= std::uint64_t{1} << vc;
+        }
+        EXPECT_EQ(r.freeVcWord(o, 0), free) << "output " << o;
+    }
+}
+
+/**
+ * Drives one standalone router through every transition that moves a
+ * stage-ready bit and audits the words after each step.  Packets A
+ * (2 flits) and then C (1 flit) queue on the second-to-last injection
+ * port, B (1 flit) on the last; all three eject here and share the
+ * single request-class ejection VC.  A's tail arrives only after its
+ * head has left.  With `inj_ports` large enough the router takes the
+ * multi-word allocators.
+ */
+void
+runStageWordTransitions(unsigned inj_ports)
+{
+    Topology topo{TopologyParams{}};
+    DorRouting xy(topo, true);
+    const NodeId node = topo.nodeAt(0, 0);
+    Router r(node, topo, xy, routerParams(false, inj_ports, 1));
+    struct Sink : EjectionSink
+    {
+        bool ejectReady(unsigned) const override { return true; }
+        void ejectFlit(unsigned, Flit &&f, Cycle) override
+        {
+            ejected.push_back(f.pkt->id);
+        }
+        std::vector<std::uint64_t> ejected;
+    } sink;
+    r.setEjectionSink(&sink);
+    auto packet = [&](std::uint64_t id, unsigned size) {
+        auto pkt = makePacket();
+        pkt->id = id;
+        pkt->src = topo.nodeAt(1, 0);
+        pkt->dst = node;
+        pkt->sizeFlits = size;
+        pkt->protoClass = 0;
+        pkt->mode = RouteMode::XY;
+        std::vector<Flit> flits;
+        makeFlits(pkt, flits);
+        return flits;
+    };
+    auto a = packet(1, 2);
+    auto b = packet(2, 1);
+    auto c = packet(3, 1);
+    const unsigned ia = inj_ports - 2; // injection port of A and C
+    const unsigned ib = inj_ports - 1; // injection port of B
+    const unsigned in_a = NUM_DIRS + ia;
+    const unsigned in_b = NUM_DIRS + ib;
+    const unsigned ej = NUM_DIRS;
+    const auto step = [&](const char *what) {
+        SCOPED_TRACE(what);
+        expectWordsMatchState(r);
+    };
+
+    r.injectFlit(ia, std::move(a[0]), 0);
+    step("head arrives at IDLE");
+    EXPECT_EQ(r.vcState(in_a, 0), VcState::IDLE);
+    r.injectFlit(ib, std::move(b[0]), 0);
+    step("second head arrives at IDLE");
+
+    r.compute(0);
+    step("RC both heads, VA grants A the only ejection VC");
+    EXPECT_EQ(r.vcState(in_a, 0), VcState::ACTIVE);
+    EXPECT_EQ(r.vcState(in_b, 0), VcState::VC_ALLOC);
+    EXPECT_TRUE(r.outputVcOwned(ej, 0));
+
+    for (Cycle t = 1; t <= 4; ++t)
+        r.compute(t);
+    step("A's head leaves its VC empty but ACTIVE");
+    EXPECT_EQ(r.vcState(in_a, 0), VcState::ACTIVE);
+    EXPECT_EQ(r.vcOccupancy(in_a, 0), 0u);
+
+    r.injectFlit(ia, std::move(a[1]), 5);
+    step("A's tail arrives at an ACTIVE VC");
+    r.injectFlit(ia, std::move(c[0]), 5);
+    step("C's head queues behind A's tail");
+    for (Cycle t = 5; t <= 9; ++t)
+        r.compute(t);
+    step("tail leaves with the next packet's head behind it");
+    EXPECT_EQ(r.vcState(in_a, 0), VcState::IDLE);
+    EXPECT_EQ(r.vcOccupancy(in_a, 0), 1u);
+    EXPECT_FALSE(r.outputVcOwned(ej, 0));
+
+    r.compute(10);
+    step("RC C; VA grants B; B's last flit popped");
+    EXPECT_EQ(r.vcState(in_a, 0), VcState::VC_ALLOC);
+    EXPECT_EQ(r.vcState(in_b, 0), VcState::IDLE);
+    EXPECT_EQ(r.vcOccupancy(in_b, 0), 0u);
+
+    r.compute(11);
+    step("C granted and popped");
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(sink.ejected, (std::vector<std::uint64_t>{1, 1, 2, 3}));
+}
+
+TEST(RouterStageWords, TrackEveryTransition)
+{
+    runStageWordTransitions(2);
+}
+
+TEST(RouterStageWords, TrackEveryTransitionMultiWord)
+{
+    // 4 + 40 inputs x 2 VCs = 88 input VCs: two words per set, and A/C
+    // and B sit in the second word.
+    runStageWordTransitions(40);
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "accel/chip_config.hh"
 #include "accel/experiments.hh"
 #include "common/snapshot.hh"
+#include "noc/mesh_network.hh"
 
 namespace tenoc
 {
@@ -45,6 +46,29 @@ sealedState(const Chip &chip)
 }
 
 /**
+ * Audits every mesh of `net` (both slices of a double network) at
+ * `now`: a restore must rebuild derived state, such as the routers'
+ * stage-ready words, to match the restored VC state.
+ */
+void
+expectCleanAudit(Network &net, Cycle now)
+{
+    std::vector<const MeshNetwork *> meshes;
+    if (auto *dn = dynamic_cast<DoubleNetwork *>(&net)) {
+        meshes = {&dn->requestNet(), &dn->replyNet()};
+    } else if (auto *mn = dynamic_cast<MeshNetwork *>(&net)) {
+        meshes = {mn};
+    }
+    ASSERT_FALSE(meshes.empty()) << "not a mesh network";
+    for (const MeshNetwork *mesh : meshes) {
+        for (const Violation &v : mesh->checker().audit(now)) {
+            ADD_FAILURE() << "[" << violationKindName(v.kind) << "] "
+                          << v.message;
+        }
+    }
+}
+
+/**
  * Runs `params` to completion twice — once straight through, once
  * checkpointed at `at` and resumed into a fresh Chip — and requires
  * identical results and identical final sealed state.
@@ -67,6 +91,7 @@ expectResumeBitIdentical(const ChipParams &params, const char *abbr,
     Chip resumed(params, prof);
     std::string error;
     ASSERT_TRUE(resumed.restoreFromFile(path, &error)) << error;
+    expectCleanAudit(resumed.network(), at);
     const ChipResult got = resumed.run();
 
     EXPECT_EQ(want.scalarInsts, got.scalarInsts);
