@@ -60,14 +60,6 @@ struct NullSink : PacketSink
 };
 
 /**
- * Runs `cycles` interconnect cycles of many-to-few request traffic
- * (each compute node injects a 1-flit packet to a random MC with
- * probability `load` per cycle) and times the loop.  `threads` drives
- * the intra-cycle parallel engine (1 = serial scheduler); `dim`
- * scales the mesh (the threads sweep uses a larger mesh so per-phase
- * work amortizes the barriers).
- */
-/**
  * Applies a `--topology` axis value to the network parameters:
  * "mesh" (default), "torus" (wrap links + dateline dimension-order
  * routing), or "cmesh" (4 terminals concentrated per router).
@@ -90,14 +82,18 @@ applyTopologyAxis(MeshNetworkParams &p, const std::string &topology)
     }
 }
 
+/**
+ * Runs `cycles` interconnect cycles of many-to-few request traffic
+ * (each compute node injects a 1-flit packet to a random MC with
+ * probability `load` per cycle) on a `dim` x `dim` network and times
+ * the loop.
+ */
 SpeedPoint
-runPoint(bool idle_skip, double load, Cycle cycles,
-         unsigned threads = 1, unsigned dim = 6,
+runPoint(bool idle_skip, double load, Cycle cycles, unsigned dim = 6,
          const std::string &topology = "mesh")
 {
     MeshNetworkParams p; // defaults = 6x6 Table III baseline
     p.idleSkip = idle_skip;
-    p.cycleThreads = threads;
     if (dim != 6) {
         p.topo.rows = dim;
         p.topo.cols = dim;
@@ -206,90 +202,6 @@ printPoint(const char *label, const SpeedPoint &pt)
                 label, pt.idleSkip ? "idle-skip" : "full-tick",
                 pt.cyclesPerSec, pt.hopsPerSec, pt.wallSeconds);
     printProfile(pt.profile);
-}
-
-/**
- * Serial-vs-parallel wall-clock sweep (`--threads-sweep [N]`): runs
- * the identical seeded workload with the serial scheduler and with the
- * phase-parallel engine at N cycle threads (default 8), at low load
- * and at saturation, on a 16x16 mesh (enough per-phase work to
- * amortize the phase barriers).  The engine is bit-exact by design, so
- * the sweep doubles as an equivalence check and fails on divergence.
- */
-int
-runThreadsSweep(unsigned threads, double scale)
-{
-    using namespace tenoc;
-    using telemetry::JsonValue;
-
-    constexpr unsigned DIM = 16;
-    const auto low_cycles = static_cast<Cycle>(40000 * scale);
-    const auto sat_cycles = static_cast<Cycle>(15000 * scale);
-    const double LOW_LOAD = 0.005;
-    const double SAT_LOAD = 0.20;
-
-    std::printf("noc_speed --threads-sweep: %ux%u mesh, serial vs "
-                "%u cycle threads (scale %.2f)\n",
-                DIM, DIM, threads, scale);
-
-    const auto low_1 =
-        runPoint(true, LOW_LOAD, low_cycles, 1, DIM);
-    const auto low_n =
-        runPoint(true, LOW_LOAD, low_cycles, threads, DIM);
-    const auto sat_1 =
-        runPoint(true, SAT_LOAD, sat_cycles, 1, DIM);
-    const auto sat_n =
-        runPoint(true, SAT_LOAD, sat_cycles, threads, DIM);
-
-    // The parallel engine must be bit-identical to serial execution.
-    if (low_1.hops != low_n.hops ||
-        low_1.packets != low_n.packets ||
-        sat_1.hops != sat_n.hops ||
-        sat_1.packets != sat_n.packets) {
-        std::fprintf(stderr, "noc_speed: threaded cycle engine "
-                             "diverged from serial execution!\n");
-        return 1;
-    }
-
-    std::printf("\nlow load (%.3f flits/node/cycle):\n", LOW_LOAD);
-    printPoint("serial", low_1);
-    printPoint("threaded", low_n);
-    const double low_speedup = low_1.wallSeconds > 0.0
-        ? low_1.wallSeconds / low_n.wallSeconds : 0.0;
-    std::printf("  parallel speedup: %.2fx\n", low_speedup);
-
-    std::printf("\nsaturation (offered %.2f flits/node/cycle):\n",
-                SAT_LOAD);
-    printPoint("serial", sat_1);
-    printPoint("threaded", sat_n);
-    const double sat_speedup = sat_1.wallSeconds > 0.0
-        ? sat_1.wallSeconds / sat_n.wallSeconds : 0.0;
-    std::printf("  parallel speedup: %.2fx\n", sat_speedup);
-
-    JsonValue doc = JsonValue::makeObject();
-    doc.set("benchmark", JsonValue("noc_speed"));
-    doc.set("mode", JsonValue("threads_sweep"));
-    doc.set("topology", JsonValue("16x16"));
-    doc.set("scale", JsonValue(scale));
-    JsonValue sweep = JsonValue::makeObject();
-    sweep.set("threads", JsonValue(std::uint64_t{threads}));
-    JsonValue points = JsonValue::makeArray();
-    for (const auto *pt : {&low_1, &low_n, &sat_1, &sat_n}) {
-        JsonValue v = pointJson(*pt);
-        v.set("cycle_threads",
-              JsonValue(std::uint64_t{pt == &low_n || pt == &sat_n
-                                          ? threads : 1u}));
-        points.push(v);
-    }
-    sweep.set("points", points);
-    sweep.set("low_load_speedup", JsonValue(low_speedup));
-    sweep.set("saturation_speedup", JsonValue(sat_speedup));
-    doc.set("threads_sweep", sweep);
-    std::ofstream os("BENCH_noc_speed.json");
-    doc.write(os);
-    os << "\n";
-    std::printf("\nwrote BENCH_noc_speed.json\n");
-    return 0;
 }
 
 /**
@@ -567,7 +479,7 @@ runMeshSweep(bool huge, double scale, const std::string &compare_path,
                               (static_cast<double>(dim) * dim);
         const auto cycles =
             std::max<Cycle>(100, static_cast<Cycle>(budget));
-        const auto pt = runPoint(true, load, cycles, 1, dim, topology);
+        const auto pt = runPoint(true, load, cycles, dim, topology);
         const auto routers = static_cast<double>(dim) * dim;
         const double per_router = pt.cyclesPerSec * routers;
         rates.push_back(MeshRate{dim, load, per_router});
@@ -603,17 +515,13 @@ main(int argc, char **argv)
     using namespace tenoc;
 
     // TENOC_SCALE (or a positional number) shortens the run for CI
-    // smoke tests; --threads-sweep [N] switches to the serial-vs-
-    // parallel engine sweep (N cycle threads, default 8);
-    // --mesh-sweep [--huge] to the 8x8..64x64 (..128x128) scaling
-    // sweep; --topology mesh|torus|cmesh changes the sweep's link
-    // structure; --compare FILE gates on a prior BENCH_noc_speed.json
-    // of the same mode.
+    // smoke tests; --mesh-sweep [--huge] switches to the 8x8..64x64
+    // (..128x128) scaling sweep; --topology mesh|torus|cmesh changes
+    // the sweep's link structure; --compare FILE gates on a prior
+    // BENCH_noc_speed.json of the same mode.
     double scale = envScale(1.0);
-    bool threads_sweep = false;
     bool mesh_sweep = false;
     bool mesh_huge = false;
-    unsigned sweep_threads = 8;
     std::string compare_path;
     std::string topology = "mesh";
     for (int i = 1; i < argc; ++i) {
@@ -626,15 +534,6 @@ main(int argc, char **argv)
             mesh_huge = true;
         } else if (arg == "--topology" && i + 1 < argc) {
             topology = argv[++i];
-        } else if (arg == "--threads-sweep") {
-            threads_sweep = true;
-            if (i + 1 < argc) {
-                const long t = std::atol(argv[i + 1]);
-                if (t >= 1) {
-                    sweep_threads = static_cast<unsigned>(t);
-                    ++i;
-                }
-            }
         } else if (arg == "--compare" && i + 1 < argc) {
             compare_path = argv[++i];
         } else {
@@ -645,8 +544,6 @@ main(int argc, char **argv)
     }
     if (mesh_sweep)
         return runMeshSweep(mesh_huge, scale, compare_path, topology);
-    if (threads_sweep)
-        return runThreadsSweep(sweep_threads, scale);
     const auto low_cycles =
         static_cast<Cycle>(200000 * scale);
     const auto sat_cycles =

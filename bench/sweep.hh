@@ -21,18 +21,14 @@
  * TENOC_THREADS overrides the worker count (default: hardware
  * concurrency); TENOC_THREADS=1 gives the exact sequential execution.
  *
- * Nested parallelism: simulations can themselves run phase-parallel
- * cycles (TENOC_CYCLE_THREADS, see common/parallel.hh).  sweepMap
- * splits the TENOC_THREADS budget between the two levels — each sweep
- * worker's simulations get at most budget/workers cycle threads — so
- * a sweep never oversubscribes to workers x cycle_threads threads.
- * Cycle-thread counts never change results (bit-exact by design), so
- * this cap is purely a scheduling decision.
+ * This is the simulator's only parallelism: each simulation runs its
+ * cycles serially on the worker that built it.
  */
 
 #ifndef TENOC_BENCH_SWEEP_HH
 #define TENOC_BENCH_SWEEP_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -42,7 +38,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/parallel.hh"
 
 namespace tenoc::bench
 {
@@ -90,13 +85,6 @@ sweepMap(std::size_t n, Fn &&fn)
         return out;
     }
 
-    // Split the thread budget between sweep workers and the cycle
-    // pools of the simulations they construct (networks resolve their
-    // cycle-thread count at construction, inside the workers).
-    const unsigned prev_cap = parallel::setCycleThreadCap(
-        std::max<unsigned>(
-            1, sweepThreads() / static_cast<unsigned>(workers)));
-
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
     std::exception_ptr error;
@@ -123,7 +111,6 @@ sweepMap(std::size_t n, Fn &&fn)
         pool.emplace_back(work);
     for (auto &t : pool)
         t.join();
-    parallel::setCycleThreadCap(prev_cap);
     if (error)
         std::rethrow_exception(error);
     return out;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/parallel.hh"
 #include "common/snapshot.hh"
 #include "dram/gddr3.hh"
 #include "telemetry/telemetry.hh"
@@ -27,27 +26,15 @@ class Chip::CorePort : public CoreMemPort
      * @param slot core slot behind `node` (0 on an unconcentrated
      *        topology); stamped into each request's tag so MC replies
      *        demux back to the right core
-     * @param node_deferred per-node deferred-request counter shared by
-     *        all slots of `node`
      */
-    CorePort(Chip &chip, NodeId node, unsigned slot,
-             unsigned *node_deferred)
-        : chip_(chip), node_(node), slot_(slot),
-          node_deferred_(node_deferred)
+    CorePort(Chip &chip, NodeId node, unsigned slot)
+        : chip_(chip), node_(node), slot_(slot)
     {}
 
     bool
     canSendRequests(unsigned n) const override
     {
-        // Deferred requests still occupy their injection-queue slots
-        // once replayed, so count them against the space now.  The
-        // counter is shared by every core slot behind this node, and
-        // a node's slots are swept in ascending order on one worker
-        // (Chip::coreTick shards by node group), so the count a later
-        // slot observes here equals exactly what serial immediate
-        // injection would already have consumed.
-        return chip_.net_->injectSpace(node_, 0) >=
-            n + *node_deferred_;
+        return chip_.net_->injectSpace(node_, 0) >= n;
     }
 
     void
@@ -62,36 +49,9 @@ class Chip::CorePort : public CoreMemPort
         send(MemOp::WRITE_REQUEST, line);
     }
 
-    /** Parallel core sweep: buffer requests instead of injecting (the
-     *  network's RNG and packet-id counter are shared). */
-    void setDeferred(bool on) { defer_ = on; }
-
-    /** Injects the buffered requests in issue order; called in core
-     *  order on the orchestrating thread, so RNG draws and packet ids
-     *  match the serial sweep exactly. */
-    void
-    flushDeferred()
-    {
-        for (const auto &[op, line] : deferred_)
-            sendNow(op, line);
-        *node_deferred_ -= static_cast<unsigned>(deferred_.size());
-        deferred_.clear();
-    }
-
   private:
     void
     send(MemOp op, Addr line)
-    {
-        if (defer_) {
-            deferred_.emplace_back(op, line);
-            ++*node_deferred_;
-            return;
-        }
-        sendNow(op, line);
-    }
-
-    void
-    sendNow(MemOp op, Addr line)
     {
         auto pkt = makePacket();
         pkt->src = node_;
@@ -110,9 +70,6 @@ class Chip::CorePort : public CoreMemPort
     Chip &chip_;
     NodeId node_;
     unsigned slot_;
-    unsigned *node_deferred_;
-    bool defer_ = false;
-    std::vector<std::pair<MemOp, Addr>> deferred_;
 };
 
 /** Core-side packet sink: read replies wake waiting warps.  One sink
@@ -182,15 +139,13 @@ Chip::Chip(const ChipParams &params, const KernelProfile &profile,
     // node.  A slot injects with its index as the packet tag and the
     // node's single sink demuxes replies by that tag.
     core_nodes_ = topo.computeNodes();
-    core_conc_ = topo.concentration();
-    node_deferred_.assign(core_nodes_.size(), 0);
+    const unsigned conc = topo.concentration();
     unsigned core_id = 0;
     for (std::size_t g = 0; g < core_nodes_.size(); ++g) {
         const NodeId n = core_nodes_[g];
         std::vector<SimtCore *> slots;
-        for (unsigned k = 0; k < core_conc_; ++k) {
-            ports_.push_back(std::make_unique<CorePort>(
-                *this, n, k, &node_deferred_[g]));
+        for (unsigned k = 0; k < conc; ++k) {
+            ports_.push_back(std::make_unique<CorePort>(*this, n, k));
             cores_.push_back(std::make_unique<SimtCore>(
                 core_id, params_.core, profile_, *ports_.back(),
                 params_.seed, factory ? factory(core_id) : nullptr));
@@ -199,20 +154,6 @@ Chip::Chip(const ChipParams &params, const KernelProfile &profile,
         }
         sinks_.push_back(std::make_unique<CoreSink>(std::move(slots)));
         net_->setSink(n, sinks_.back().get());
-    }
-
-    // Parallel core sweep (see docs/performance.md): same thread
-    // budget as the network's cycle engine.  Sharding is by node
-    // group, never splitting a node's slots across workers, so the
-    // shared deferred-request counters are raced by no one and later
-    // slots observe earlier slots' claims exactly as the serial sweep
-    // would.
-    core_threads_ = std::max(1u, std::min<unsigned>(
-        parallel::resolveCycleThreads(params_.mesh.cycleThreads),
-        static_cast<unsigned>(core_nodes_.size())));
-    if (core_threads_ > 1) {
-        for (auto &p : ports_)
-            p->setDeferred(true);
     }
 
     buildStatModel();
@@ -351,25 +292,6 @@ Chip::icntTick()
 void
 Chip::coreTick()
 {
-    if (core_threads_ > 1) {
-        // Cores are independent within one core-clock edge (replies
-        // arrive from icntTick, not here); their memory requests
-        // buffer in the CorePorts and replay below in core order.
-        // Shards cover whole node groups so slots sharing a node's
-        // deferred counter run on one worker, in ascending order.
-        const auto groups = static_cast<unsigned>(core_nodes_.size());
-        parallel::parallelFor(core_threads_, [&](unsigned s) {
-            const auto [lo, hi] =
-                parallel::shardRange(s, groups, core_threads_);
-            for (unsigned g = lo; g < hi; ++g)
-                for (unsigned k = 0; k < core_conc_; ++k)
-                    cores_[g * core_conc_ + k]->cycle(core_now_);
-        });
-        for (auto &p : ports_)
-            p->flushDeferred();
-        ++core_now_;
-        return;
-    }
     for (auto &c : cores_)
         c->cycle(core_now_);
     ++core_now_;

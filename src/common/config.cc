@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdlib>
 #include <sstream>
 
 namespace tenoc
@@ -252,6 +253,19 @@ Config::canonicalHashHex() const
     for (int i = 0; i < 16; ++i)
         out[15 - i] = digits[(h >> (4 * i)) & 0xf];
     return out;
+}
+
+int
+envSwitch(const char *name)
+{
+    const char *env = std::getenv(name);
+    if (!env || !*env)
+        return -1;
+    const std::string v(env);
+    if (v == "0" || v == "1")
+        return v == "1";
+    warn("ignoring invalid ", name, "='", v, "' (want 0 or 1)");
+    return -1;
 }
 
 } // namespace tenoc

@@ -80,6 +80,13 @@ class Config
     std::map<std::string, std::string> values_;
 };
 
+/**
+ * Reads an on/off switch from the environment.  @return 1 or 0 when
+ * `name` is exactly "1" or "0", and -1 when it is unset or empty.  Any
+ * other value ("off", "true", ...) warns and is ignored (-1).
+ */
+int envSwitch(const char *name);
+
 } // namespace tenoc
 
 #endif // TENOC_COMMON_CONFIG_HH

@@ -6,13 +6,10 @@
  * them through a freelist, so steady-state simulation performs no heap
  * allocation per object.  It is deliberately NOT thread-safe: pools
  * are accessed through thread_local instances and an object's
- * refcount is only ever touched by one thread at a time.  Two regimes
- * uphold that: each parallel-sweep worker (bench/sweep.hh) owns its
- * simulations end to end, and inside one simulation the phase-
- * parallel cycle engine (common/parallel.hh) confines each packet to
- * one shard per phase and replays final releases on the pool-owning
- * caller thread.  An object allocated from one thread's pool must
- * never be *freed* on another.
+ * refcount is only ever touched by one thread at a time.  Each
+ * parallel-sweep worker (bench/sweep.hh) owns its simulations end to
+ * end and runs their cycles serially, which upholds that.  An object
+ * allocated from one thread's pool must never be *freed* on another.
  */
 
 #ifndef TENOC_COMMON_POOL_HH

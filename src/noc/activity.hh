@@ -10,27 +10,17 @@
  * ascending order, so the tick order is identical to the full
  * tick-everything sweep and the simulation stays bit-exact (see
  * docs/performance.md).
- *
- * Parallel phase execution (common/parallel.hh) adds a *deferred
- * marking* mode: while a phase runs data-parallel across shards, the
- * word array is frozen and mark() appends the index to a per-worker
- * buffer instead of writing a shared word.  mergeDeferredMarks() ORs
- * the buffers back at the phase barrier; since marking is idempotent
- * the merge order cannot matter, and because the words are frozen
- * during the phase no snapshot copy is needed — readers of test() see
- * exactly the mask the phase started with, matching the serial
- * scheduler's "marks become visible at the next phase" semantics.
  */
 
 #ifndef TENOC_NOC_ACTIVITY_HH
 #define TENOC_NOC_ACTIVITY_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "common/log.hh"
-#include "common/parallel.hh"
 
 namespace tenoc
 {
@@ -46,20 +36,21 @@ class ActiveSet
     resize(unsigned n)
     {
         words_.assign((n + 63) / 64, 0);
+        size_ = n;
     }
 
+    void mark(unsigned i) { words_[i >> 6] |= WORD_ONE << (i & 63); }
+
+    /** Marks every index in [0, size): the full-tick scheduler is
+     *  idle-skip with everything marked. */
     void
-    mark(unsigned i)
+    markAll()
     {
-        if (deferring_) {
-            // Words are frozen during a parallel phase, so this test
-            // races with nothing and already-set bits (the common
-            // case: waking an active component) cost no buffer entry.
-            if (!test(i))
-                deferred_[parallel::workerSlot()].buf.push_back(i);
+        if (words_.empty())
             return;
-        }
-        words_[i >> 6] |= WORD_ONE << (i & 63);
+        std::fill(words_.begin(), words_.end(), ~std::uint64_t{0});
+        if (const unsigned tail = size_ & 63)
+            words_.back() = (WORD_ONE << tail) - 1;
     }
 
     void clear(unsigned i) { words_[i >> 6] &= ~(WORD_ONE << (i & 63)); }
@@ -79,16 +70,6 @@ class ActiveSet
         return true;
     }
 
-    /** Number of marked indices. */
-    unsigned
-    popCount() const
-    {
-        unsigned n = 0;
-        for (auto w : words_)
-            n += static_cast<unsigned>(std::popcount(w));
-        return n;
-    }
-
     /** Raw mask words (checkpoint/restore). */
     const std::vector<std::uint64_t> &words() const { return words_; }
 
@@ -100,38 +81,6 @@ class ActiveSet
         tenoc_assert(words.size() == words_.size(),
                      "active-set word count mismatch");
         words_ = words;
-    }
-
-    // --- deferred marking (parallel phase execution) ---
-
-    /** Allocates per-worker mark buffers; idempotent. */
-    void
-    enableDeferredMarks()
-    {
-        if (deferred_.empty())
-            deferred_.resize(parallel::maxSlots());
-    }
-
-    /** Freezes the word array: marks buffer until the next merge. */
-    void beginDeferred() { deferring_ = true; }
-
-    /** Leaves deferred mode (words become directly writable again). */
-    void endDeferred() { deferring_ = false; }
-
-    /**
-     * ORs every buffered mark into the word array and empties the
-     * buffers.  Call only at a phase barrier (single-threaded).  The
-     * result is independent of buffer order — marking is idempotent —
-     * so it is bit-identical to the serial scheduler's live marks.
-     */
-    void
-    mergeDeferredMarks()
-    {
-        for (auto &slot : deferred_) {
-            for (const unsigned i : slot.buf)
-                words_[i >> 6] |= WORD_ONE << (i & 63);
-            slot.buf.clear();
-        }
     }
 
     /**
@@ -146,35 +95,6 @@ class ActiveSet
     {
         for (std::size_t w = 0; w < words_.size(); ++w) {
             std::uint64_t bits = words_[w];
-            while (bits) {
-                const auto b =
-                    static_cast<unsigned>(std::countr_zero(bits));
-                bits &= bits - 1;
-                f(static_cast<unsigned>(w * 64 + b));
-            }
-        }
-    }
-
-    /**
-     * Calls f(index) for each marked index in [lo, hi), ascending.
-     * Used by the parallel scheduler to iterate one shard's slice of a
-     * frozen mask; shard boundaries fall mid-word without double
-     * visits because both edges are masked.
-     */
-    template <typename F>
-    void
-    forEachInRange(unsigned lo, unsigned hi, F &&f) const
-    {
-        if (lo >= hi)
-            return;
-        const std::size_t w0 = lo >> 6;
-        const std::size_t w1 = (hi - 1) >> 6;
-        for (std::size_t w = w0; w <= w1; ++w) {
-            std::uint64_t bits = words_[w];
-            if (w == w0 && (lo & 63) != 0)
-                bits &= ~std::uint64_t{0} << (lo & 63);
-            if (w == w1 && (hi & 63) != 0)
-                bits &= (WORD_ONE << (hi & 63)) - 1;
             while (bits) {
                 const auto b =
                     static_cast<unsigned>(std::countr_zero(bits));
@@ -204,22 +124,8 @@ class ActiveSet
 
   private:
     static constexpr std::uint64_t WORD_ONE = 1;
-
-    /**
-     * One worker's mark buffer, padded to a cache line: adjacent
-     * std::vector headers (size/capacity pointers mutated on every
-     * push_back) otherwise share a line and false-share across the
-     * workers of a parallel phase.
-     */
-    struct alignas(parallel::CACHE_LINE) DeferredSlot
-    {
-        std::vector<unsigned> buf;
-    };
-
     std::vector<std::uint64_t> words_;
-    bool deferring_ = false;
-    /** Per-worker-slot mark buffers (see file comment). */
-    std::vector<DeferredSlot> deferred_;
+    unsigned size_ = 0;
 };
 
 } // namespace tenoc

@@ -37,12 +37,8 @@ enum class RouteMode : std::uint8_t
  * refcount over a thread_local freelist pool); flits reference it.
  * The refcount must therefore only ever be touched by one thread at a
  * time.  Each parallel sweep point (bench/sweep.hh) runs its whole
- * simulation on one worker thread; within one simulation the phase-
- * parallel cycle engine (common/parallel.hh) keeps every packet
- * inside a single shard per phase — shards own disjoint component
- * ranges and phase barriers order cross-phase hand-offs — and defers
- * sink deliveries so the final release happens on the thread whose
- * pool owns the packet.
+ * simulation, serially, on one worker thread, so every packet is
+ * allocated and released on the thread whose pool owns it.
  */
 struct Packet
 {

@@ -402,12 +402,6 @@ struct Toggles
     bool idleSkip = true;
     bool validate = false;
     bool poolBypass = false;
-    /** Intra-cycle parallel engine thread count (1 = serial; the
-     *  default 0 resolves TENOC_CYCLE_THREADS, so a fuzz run under
-     *  that env var exercises the threaded engine as its base run —
-     *  bit-exactness makes the resolved count irrelevant to results,
-     *  and the shadow combos below pin explicit counts either way). */
-    unsigned cycleThreads = 0;
     /** Arrival-scheduled channels (sleep-until-arrival wheel). */
     bool arrivalSleep = true;
 
@@ -420,8 +414,6 @@ struct Toggles
         s += validate ? "1" : "0";
         s += " poolBypass=";
         s += poolBypass ? "1" : "0";
-        s += " cycleThreads=";
-        s += std::to_string(cycleThreads);
         s += " arrivalSleep=";
         s += arrivalSleep ? "1" : "0";
         return s;
@@ -445,7 +437,6 @@ shadowRun(const DiffConfig &cfg, const Toggles &toggles,
     MeshNetworkParams np = cfg.toNetParams();
     np.idleSkip = toggles.idleSkip;
     np.validate = toggles.validate;
-    np.cycleThreads = toggles.cycleThreads;
     np.arrivalSleep = toggles.arrivalSleep;
     np.watchdogWindow = DRAIN_CAP / 2;
 
@@ -1076,23 +1067,18 @@ runDiff(const DiffConfig &cfg, const DiffOptions &opts)
                           rep.violations);
     }
 
-    // Oracle 5: idle-skip / validate / pool-bypass / cycle-thread /
-    // arrival-sleep invariance.  The parallel engine claims
-    // bit-identical results for any thread count and the arrival
-    // wheel claims bit-identical results either way; every fuzzed
-    // config re-proves both.
+    // Oracle 5: idle-skip / validate / pool-bypass / arrival-sleep
+    // invariance.  Full-tick and the arrival wheel both claim
+    // bit-identical results; every fuzzed config re-proves them.
     std::vector<Toggles> combos;
     if (opts.thorough) {
-        for (int i = 1; i < 32; ++i)
+        for (int i = 1; i < 16; ++i)
             combos.push_back(Toggles{(i & 1) != 0, (i & 2) != 0,
-                                     (i & 4) != 0,
-                                     (i & 8) != 0 ? 2u : 1u,
-                                     (i & 16) == 0});
+                                     (i & 4) != 0, (i & 8) == 0});
     } else {
-        combos.push_back(Toggles{false, true, true, 1, true});
-        combos.push_back(Toggles{true, false, false, 2, true});
-        combos.push_back(Toggles{false, true, true, 2, false});
-        combos.push_back(Toggles{true, false, false, 1, false});
+        combos.push_back(Toggles{false, true, true, true});
+        combos.push_back(Toggles{false, true, true, false});
+        combos.push_back(Toggles{true, false, false, false});
     }
     for (const Toggles &t : combos) {
         if (full(rep.violations))

@@ -5,8 +5,8 @@
 
 #include "noc/invariants.hh"
 
-#include <cstdlib>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "noc/network_interface.hh"
 #include "noc/router.hh"
@@ -58,8 +58,7 @@ violationKindName(Violation::Kind kind)
 bool
 validateForcedByEnv()
 {
-    const char *env = std::getenv("TENOC_VALIDATE");
-    return env && *env && std::string(env) != "0";
+    return envSwitch("TENOC_VALIDATE") == 1;
 }
 
 void

@@ -75,8 +75,9 @@ struct Violation
 /** @return short name of a violation kind ("credit_conservation", ...). */
 const char *violationKindName(Violation::Kind kind);
 
-/** @return true when TENOC_VALIDATE is set to a non-zero value in the
- *  environment (forces MeshNetworkParams::validate on). */
+/** @return true when TENOC_VALIDATE=1 is set in the environment
+ *  (forces MeshNetworkParams::validate on); other values than 0 or 1
+ *  warn and are ignored. */
 bool validateForcedByEnv();
 
 /**

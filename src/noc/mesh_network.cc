@@ -7,10 +7,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 
-#include "common/parallel.hh"
+#include "common/config.hh"
 #include "common/snapshot.hh"
 #include "telemetry/json.hh"
 #include "telemetry/telemetry.hh"
@@ -20,17 +19,6 @@ namespace tenoc
 
 namespace
 {
-
-/** TENOC_ARRIVAL_SLEEP=0/1 overrides MeshNetworkParams::arrivalSleep
- *  everywhere (the equivalence tests cross both settings); -1 = unset. */
-int
-arrivalSleepEnvOverride()
-{
-    const char *env = std::getenv("TENOC_ARRIVAL_SLEEP");
-    if (!env || !*env)
-        return -1;
-    return std::string(env) == "0" ? 0 : 1;
-}
 
 /** Monotonic nanosecond stamp for the --profile phase breakdown. */
 std::uint64_t
@@ -87,6 +75,13 @@ validateMeshNetworkParams(const MeshNetworkParams &params)
     if (params.validate && params.validateInterval == 0) {
         tenoc_fatal("invalid network config: validateInterval must be"
                     " >= 1 when validate is enabled");
+    }
+    if (params.cycleThreads > 1) {
+        tenoc_fatal("invalid network config: cycleThreads=",
+                    params.cycleThreads, " is not supported — the"
+                    " intra-cycle parallel engine was removed; every"
+                    " network cycles serially (run independent points"
+                    " in parallel instead)");
     }
 }
 
@@ -155,7 +150,8 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     validateMeshNetworkParams(params_);
     if (validateForcedByEnv())
         params_.validate = true;
-    if (const int arr = arrivalSleepEnvOverride(); arr >= 0)
+    // TENOC_ARRIVAL_SLEEP=0/1 overrides arrivalSleep everywhere.
+    if (const int arr = envSwitch("TENOC_ARRIVAL_SLEEP"); arr >= 0)
         params_.arrivalSleep = arr != 0;
     if (params_.validate) {
         // Packets are pooled thread-locally; arm double-release
@@ -295,34 +291,7 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
         nis_[n]->setNetFlitCounters(&net_flits_in_, &net_flits_out_);
         checker_->addNi(nis_[n].get());
     }
-    if (params_.idleSkip)
-        checker_->setActivity(&router_active_, &ni_active_);
-
-    // Intra-cycle parallel engine (see docs/performance.md).  Routers
-    // are sharded into contiguous ascending-index ranges; each shard
-    // accumulates switch traversals privately and activity marks land
-    // in per-worker buffers merged at phase barriers; NIs buffer every
-    // shared-stat side effect in per-NI deltas applied in index order.
-    cycle_threads_ = std::min(
-        parallel::resolveCycleThreads(params_.cycleThreads),
-        topo_.numNodes());
-    if (cycle_threads_ > 1) {
-        router_active_.enableDeferredMarks();
-        ni_active_.enableDeferredMarks();
-        shard_traversed_.assign(cycle_threads_, parallel::PaddedU64{});
-        for (unsigned s = 0; s < cycle_threads_; ++s) {
-            const auto [lo, hi] = parallel::shardRange(
-                s, topo_.numNodes(), cycle_threads_);
-            for (NodeId n = lo; n < hi; ++n) {
-                routers_[n]->setTraversalCounter(
-                    &shard_traversed_[s].value);
-            }
-        }
-        for (auto &ni : nis_)
-            ni->setDeferredStats(true);
-        if (arrival_.configured())
-            arrival_.enableDeferred();
-    }
+    checker_->setActivity(&router_active_, &ni_active_);
 }
 
 bool
@@ -356,10 +325,6 @@ MeshNetwork::setSink(NodeId n, PacketSink *sink)
 void
 MeshNetwork::cycle(Cycle now)
 {
-    if (cycle_threads_ > 1) {
-        engineCycle(now);
-        return;
-    }
     PhaseProfile *prof = profile_;
     std::uint64_t t0 = prof ? profileNowNs() : 0;
     const auto lap = [&](std::uint64_t PhaseProfile::*slot) {
@@ -371,60 +336,33 @@ MeshNetwork::cycle(Cycle now)
     };
     if (prof)
         ++prof->cycles;
-    if (count_cycles_)
-        ++stats_->cycles;
+    ++stats_->cycles;
     if (faults_)
         faults_->tick(now);
+    // The reference full-tick scheduler is this same phase sequence
+    // with every router and NI marked, so it differs from idle-skip
+    // only in which components it visits.
+    if (!params_.idleSkip) {
+        router_active_.markAll();
+        ni_active_.markAll();
+    }
     // Deliver this cycle's channel arrivals first: matured wheel
     // entries set their receiver's pending-port bits and mark it
-    // active before either scheduler branch reads the masks.
+    // active before the phases read the masks.
     if (arrival_.configured())
         arrival_.fire(now);
     // Hoisted fault gate: routerFrozen() is consulted per router tick
     // only while a freeze is actually active; otherwise the fault hook
-    // costs this single pointer test per cycle.
+    // costs this single pointer test per cycle.  A frozen router
+    // (ROUTER_FREEZE fault) is skipped entirely: its buffers, arbiters
+    // and attached channel endpoints hold still.
     const FaultEngine *fe =
         (faults_ && faults_->anyFrozen()) ? faults_.get() : nullptr;
     lap(&PhaseProfile::bookkeepingNs);
-    if (!params_.idleSkip) {
-        // Reference scheduler: tick everything every cycle.  A frozen
-        // router (ROUTER_FREEZE fault) is skipped entirely: its
-        // buffers, arbiters and attached channel endpoints hold still.
-        for (auto &r : routers_) {
-            if (!fe || !fe->routerFrozen(r->id()))
-                r->readInputs(now);
-        }
-        lap(&PhaseProfile::readInputsNs);
-        // The arena's contiguous pending counters gate the phase call:
-        // an NI with nothing queued or mid-injection is a guaranteed
-        // no-op (injectPhase early-outs on the same counter), so the
-        // sweep touches one cache-resident word per idle NI.
-        for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-            if (ni_slabs_.pendingInject[n] != 0)
-                nis_[n]->injectPhase(now);
-        }
-        lap(&PhaseProfile::injectNs);
-        // One compute() per router: its stage-ready words let RC, VA
-        // and SA skip VCs they cannot serve, and trace events come out
-        // in per-router RC/VA/SA order.
-        for (auto &r : routers_) {
-            if (!fe || !fe->routerFrozen(r->id()))
-                r->compute(now);
-        }
-        lap(&PhaseProfile::computeNs);
-        for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-            if (ni_slabs_.ejOccupancy[n] != 0)
-                nis_[n]->drainPhase(now);
-        }
-        lap(&PhaseProfile::drainNs);
-        postCycle(now);
-        lap(&PhaseProfile::bookkeepingNs);
-        return;
-    }
-    // Idle-skip: tick only components that can make progress.  An idle
-    // component performs no state change when ticked (arbiters only
-    // advance on accept()), so skipping it is bit-exact; iteration is
-    // ascending-index, matching the reference sweep order.  Marks made
+    // Tick only components that can make progress.  An idle component
+    // performs no state change when ticked (arbiters only advance on
+    // accept()), so skipping it is bit-exact; iteration is
+    // ascending-index, matching the full-tick sweep order.  Marks made
     // by one phase (NI injectFlit -> router, router ejectFlit -> NI)
     // are observed by the later phases of the same cycle because each
     // forEach reads the live mask.
@@ -433,14 +371,19 @@ MeshNetwork::cycle(Cycle now)
             routers_[n]->readInputs(now);
     });
     lap(&PhaseProfile::readInputsNs);
+    // The arena's contiguous pending counters gate the phase call: an
+    // NI with nothing queued or mid-injection is a guaranteed no-op.
     ni_active_.forEach([&](unsigned n) {
         if (ni_slabs_.pendingInject[n] != 0)
             nis_[n]->injectPhase(now);
     });
     lap(&PhaseProfile::injectNs);
-    // A router marked mid-pass by a channel send has its new flit
-    // still in flight (>= 1 cycle of latency), so visiting it is a
-    // no-op, as is computing a router with nothing buffered.
+    // One compute() per router: its stage-ready words let RC, VA and
+    // SA skip VCs they cannot serve, and trace events come out in
+    // per-router RC/VA/SA order.  A router marked mid-pass by a
+    // channel send has its new flit still in flight (>= 1 cycle of
+    // latency), so visiting it is a no-op, as is computing a router
+    // with nothing buffered.
     router_active_.forEach([&](unsigned n) {
         if (!fe || !fe->routerFrozen(n))
             routers_[n]->compute(now);
@@ -456,203 +399,15 @@ MeshNetwork::cycle(Cycle now)
     // ejection — or, under arrivalSleep, the wheel at the arrival
     // cycle), never silently forgotten.  A frozen router retires only
     // if it truly has no work (couldWork covers its buffers and
-    // pending arrivals whether or not it is being ticked).
-    router_active_.retireIf(
-        [&](unsigned n) { return !routers_[n]->couldWork(); });
-    ni_active_.retireIf([&](unsigned n) { return nis_[n]->idle(); });
-    postCycle(now);
-    lap(&PhaseProfile::bookkeepingNs);
-}
-
-void
-MeshNetwork::engineCycle(Cycle now)
-{
-    PhaseProfile *prof = profile_;
-    std::uint64_t t0 = prof ? profileNowNs() : 0;
-    const auto lap = [&](std::uint64_t PhaseProfile::*slot) {
-        if (!prof)
-            return;
-        const std::uint64_t t1 = profileNowNs();
-        prof->*slot += t1 - t0;
-        t0 = t1;
-    };
-    if (prof)
-        ++prof->cycles;
-    if (count_cycles_)
-        ++stats_->cycles;
-    if (faults_)
-        faults_->tick(now);
-    // Matured channel arrivals mark their receivers before the masks
-    // freeze (and before the inline-run heuristic reads the popcounts).
-    if (arrival_.configured())
-        arrival_.fire(now);
-    const FaultEngine *fe =
-        (faults_ && faults_->anyFrozen()) ? faults_.get() : nullptr;
-    const unsigned S = cycle_threads_;
-    const unsigned nodes = topo_.numNodes();
-
-    // Cheap cycles run the shards inline on this thread: the code path
-    // (deferred marks/stats, shard order) is identical either way —
-    // static sharding makes the thread count invisible to results — so
-    // this is purely a latency call.  A tracer pins execution inline
-    // so trace callbacks stay single-threaded and in component order.
-    const bool inline_run = tracer_attached_ ||
-        (params_.idleSkip &&
-         router_active_.popCount() + ni_active_.popCount() < 2 * S);
-    auto runPhase = [&](auto &&body) {
-        if (inline_run) {
-            for (unsigned s = 0; s < S; ++s)
-                body(s);
-        } else {
-            parallel::parallelFor(S, body);
-        }
-    };
-
-    // Freeze both masks: phase code reads the mask state the phase
-    // started with (the serial scheduler's visibility, since a fresh
-    // same-phase mark is always a no-op visit there), and new marks
-    // buffer per worker until the merges below.  The arrival wheel
-    // freezes too: worker-thread sends buffer their wheel entries per
-    // worker, merged once at the end of the cycle (every entry matures
-    // at >= now + 1, so that is early enough).
-    router_active_.beginDeferred();
-    ni_active_.beginDeferred();
-    const bool arr = arrival_.configured();
-    if (arr)
-        arrival_.beginDeferred();
-    lap(&PhaseProfile::bookkeepingNs);
-
+    // pending arrivals whether or not it is being ticked).  Full-tick
+    // re-marks everything next cycle, so it skips the scan.
     if (params_.idleSkip) {
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            router_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->readInputs(now);
-            });
-        });
-        lap(&PhaseProfile::readInputsNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            ni_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (ni_slabs_.pendingInject[n] != 0)
-                    nis_[n]->injectPhase(now);
-            });
-        });
-        lap(&PhaseProfile::injectNs);
-        // Injection wakes routers; compute must observe those marks
-        // exactly like the serial scheduler's live mask does.
-        router_active_.mergeDeferredMarks();
-        lap(&PhaseProfile::bookkeepingNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            router_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->compute(now);
-            });
-        });
-        lap(&PhaseProfile::computeNs);
-        // Ejection (router -> NI) wakes NIs for the drain phase;
-        // channel sends wake routers for the next cycle.
-        router_active_.mergeDeferredMarks();
-        ni_active_.mergeDeferredMarks();
-        lap(&PhaseProfile::bookkeepingNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            ni_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (ni_slabs_.ejOccupancy[n] != 0)
-                    nis_[n]->drainPhase(now);
-            });
-        });
-        lap(&PhaseProfile::drainNs);
-    } else {
-        // Reference full sweep, sharded.  Marks still defer (the
-        // channels are wired to the masks) so they merge at barriers
-        // instead of racing.
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            for (unsigned n = lo; n < hi; ++n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->readInputs(now);
-            }
-        });
-        lap(&PhaseProfile::readInputsNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            for (unsigned n = lo; n < hi; ++n) {
-                if (ni_slabs_.pendingInject[n] != 0)
-                    nis_[n]->injectPhase(now);
-            }
-        });
-        lap(&PhaseProfile::injectNs);
-        router_active_.mergeDeferredMarks();
-        lap(&PhaseProfile::bookkeepingNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            for (unsigned n = lo; n < hi; ++n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->compute(now);
-            }
-        });
-        lap(&PhaseProfile::computeNs);
-        router_active_.mergeDeferredMarks();
-        ni_active_.mergeDeferredMarks();
-        lap(&PhaseProfile::bookkeepingNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            for (unsigned n = lo; n < hi; ++n) {
-                if (ni_slabs_.ejOccupancy[n] != 0)
-                    nis_[n]->drainPhase(now);
-            }
-        });
-        lap(&PhaseProfile::drainNs);
-    }
-
-    router_active_.endDeferred();
-    ni_active_.endDeferred();
-    router_active_.mergeDeferredMarks();
-    ni_active_.mergeDeferredMarks();
-    if (arr) {
-        arrival_.endDeferred();
-        arrival_.mergeDeferred();
-    }
-
-    // Fold per-shard traversal counts into the network total before
-    // anything downstream (watchdog, telemetry, checker) reads it.
-    for (auto &t : shard_traversed_) {
-        flits_traversed_total_ += t.value;
-        t.value = 0;
-    }
-
-    if (params_.idleSkip) {
-        // Retiring before the delivery replay is equivalent to the
-        // serial retire-after-deliveries order: a replayed delivery
-        // that enqueues re-marks its NI live, so the final mask state
-        // matches either way.
         router_active_.retireIf(
             [&](unsigned n) { return !routers_[n]->couldWork(); });
         ni_active_.retireIf([&](unsigned n) { return nis_[n]->idle(); });
     }
-
-    if (defer_to_parent_) {
-        lap(&PhaseProfile::bookkeepingNs);
-        return; // DoubleNetwork flushes and runs postCycle, in order
-    }
-    flushEngineDeferred();
     postCycle(now);
     lap(&PhaseProfile::bookkeepingNs);
-}
-
-void
-MeshNetwork::flushEngineDeferred()
-{
-    // Ascending NI order, each NI's counters/samples then deliveries:
-    // exactly the order the serial drain produces shared-state
-    // updates, so accumulator and histogram contents (including
-    // floating-point sums) are bit-identical to the serial scheduler.
-    for (auto &ni : nis_) {
-        ni->applyDeferredStats();
-        ni->flushDeferredDeliveries();
-    }
 }
 
 void
@@ -746,10 +501,6 @@ MeshNetwork::attachTelemetryPrefixed(telemetry::TelemetryHub &hub,
         });
     }
     if (auto *tracer = hub.tracer()) {
-        // Trace sinks are single-threaded; the parallel engine runs
-        // its shards inline (serial, ascending order) while a tracer
-        // is attached so event order matches the serial scheduler.
-        tracer_attached_ = true;
         for (auto &r : routers_)
             r->setTracer(tracer);
         for (auto &ni : nis_)
@@ -975,16 +726,6 @@ DoubleNetwork::DoubleNetwork(const MeshNetworkParams &base)
     rep_slice.seed = base.seed + 0x9e3779b9ULL;
     reply_ = std::make_unique<MeshNetwork>(rep_slice, stats_.get(),
                                            &next_pkt_id_);
-
-    // Intra-cycle parallelism: run the slices as two pool tasks.  The
-    // slices resolved the same cycleThreads value (identical params
-    // and cap at construction), so engine mode is all-or-nothing.
-    engine_ = request_->cycleThreads() > 1 &&
-              reply_->cycleThreads() > 1;
-    if (engine_) {
-        request_->setEngineParent();
-        reply_->setEngineParent();
-    }
 }
 
 unsigned
@@ -1027,35 +768,11 @@ DoubleNetwork::setSink(NodeId n, PacketSink *sink)
 void
 DoubleNetwork::cycle(Cycle now)
 {
-    ++stats_->cycles;
-    if (!engine_) {
-        // Each slice bumps the shared cycle counter; correct for the
-        // double count so `cycles` tracks wall interconnect cycles.
-        request_->cycle(now);
-        reply_->cycle(now);
-        stats_->cycles -= 2;
-        return;
-    }
-    // Engine mode: the slices don't count cycles themselves and defer
-    // every shared side effect (NetStats deltas, deliveries,
-    // postCycle) to this thread, which flushes request-first — the
-    // serial slice order — after both have quiesced.  A slice's own
-    // nested parallelFor finds the pool busy and runs inline, which
-    // is bit-exact by the static-sharding contract.
-    MeshNetwork *slices[2] = {request_.get(), reply_.get()};
-    if (telemetry_attached_) {
-        // Trace sinks are single-threaded: keep slice execution (and
-        // thus trace event order) serial while a tracer is attached.
-        slices[0]->cycle(now);
-        slices[1]->cycle(now);
-    } else {
-        parallel::parallelFor(
-            2, [&](unsigned s) { slices[s]->cycle(now); });
-    }
-    request_->flushEngineDeferred();
-    request_->postCycle(now);
-    reply_->flushEngineDeferred();
-    reply_->postCycle(now);
+    // Each slice bumps the shared cycle counter; correct for the
+    // double count so `cycles` tracks wall interconnect cycles.
+    request_->cycle(now);
+    reply_->cycle(now);
+    --stats_->cycles;
 }
 
 bool
@@ -1077,8 +794,6 @@ DoubleNetwork::diagnosticReport(Cycle now) const
 void
 DoubleNetwork::attachTelemetry(telemetry::TelemetryHub &hub)
 {
-    if (hub.tracer())
-        telemetry_attached_ = true;
     request_->attachTelemetryPrefixed(hub, "req_");
     reply_->attachTelemetryPrefixed(hub, "rep_");
 }
@@ -1238,8 +953,16 @@ MeshNetwork::save(SnapshotWriter &w) const
                          " (router ", n, ")");
         }
     }
-    saveU64Vector(w, router_active_.words());
-    saveU64Vector(w, ni_active_.words());
+    // The activity masks are saved as idle-skip leaves them at a cycle
+    // boundary, holding only components with work, so a full-tick
+    // snapshot (every component marked) matches an idle-skip one.
+    ActiveSet router_active = router_active_;
+    router_active.retireIf(
+        [&](unsigned n) { return !routers_[n]->couldWork(); });
+    ActiveSet ni_active = ni_active_;
+    ni_active.retireIf([&](unsigned n) { return nis_[n]->idle(); });
+    saveU64Vector(w, router_active.words());
+    saveU64Vector(w, ni_active.words());
     for (const auto &router : routers_)
         router->save(w);
     for (const auto &ni : nis_)

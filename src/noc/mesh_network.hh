@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "noc/faults.hh"
 #include "noc/invariants.hh"
@@ -48,7 +47,8 @@ struct MeshNetworkParams
      * progress this cycle (tracked by ActiveSet) instead of sweeping
      * every component.  Bit-exact with the full sweep — an idle router
      * performs no state change when ticked — so this is on by default;
-     * turn off to get the reference full-tick scheduler (used by the
+     * turn off to get the reference full-tick scheduler, which runs
+     * the same phase sequence with every component marked (used by the
      * equivalence regression and the noc_speed benchmark).
      */
     bool idleSkip = true;
@@ -94,16 +94,13 @@ struct MeshNetworkParams
     /** Seeded fault injection (see noc/faults.hh); inert when empty. */
     FaultConfig faults;
     /**
-     * Intra-cycle parallelism: number of worker threads ticking this
-     * network's phases (and, through Chip, its SIMT cores).  0 means
-     * "use the TENOC_CYCLE_THREADS environment variable" (default 1 =
-     * today's serial scheduler, byte-for-byte).  Any value >1 runs
-     * each phase data-parallel over static ascending-index shards with
-     * barriers between phases; results are bit-identical to serial for
-     * every thread count (see docs/performance.md).  Resolved once at
-     * construction (common/parallel.hh:resolveCycleThreads).
+     * Retired setting, kept only so existing callers still compile:
+     * every network cycles serially, and validateMeshNetworkParams
+     * rejects any value above 1.  Parallelism lives one level up, in
+     * the sweep runner that runs independent simulations concurrently
+     * (bench/sweep.hh).
      */
-    unsigned cycleThreads = 0;
+    unsigned cycleThreads = 1;
 };
 
 /**
@@ -118,7 +115,7 @@ void validateMeshNetworkParams(const MeshNetworkParams &params);
  * Per-phase wall-time breakdown of MeshNetwork::cycle, accumulated
  * while a profile is attached (noc_speed --profile).  "Bookkeeping"
  * covers everything outside the four component phases: arrival-wheel
- * firing, fault ticks, deferred-mark merges, retirement and postCycle.
+ * firing, fault ticks, retirement and postCycle.
  */
 struct PhaseProfile
 {
@@ -205,9 +202,6 @@ class MeshNetwork : public Network
      *  dry (an idle-skip scheduling bug the checker must detect). */
     void debugRetireRouter(NodeId n) { router_active_.clear(n); }
 
-    /** Resolved intra-cycle thread count (1 = serial scheduler). */
-    unsigned cycleThreads() const { return cycle_threads_; }
-
     /** Attaches (or detaches, with nullptr) a per-phase wall-time
      *  profile accumulated by every subsequent cycle() call. */
     void setPhaseProfile(PhaseProfile *profile) { profile_ = profile; }
@@ -224,23 +218,8 @@ class MeshNetwork : public Network
     void restore(SnapshotReader &r) override;
 
   private:
-    friend class DoubleNetwork;
-
     void postCycle(Cycle now);
     void fireWatchdog(Cycle now, const char *reason);
-    /** Phase-parallel cycle (cycle_threads_ > 1). */
-    void engineCycle(Cycle now);
-    /** Applies the NIs' deferred stat deltas and replays deliveries in
-     *  ascending NI order (the serial drain order). Caller thread. */
-    void flushEngineDeferred();
-    /** DoubleNetwork slice wiring: the parent flushes deferred state
-     *  and runs postCycle itself, in request-then-reply order. */
-    void
-    setEngineParent()
-    {
-        defer_to_parent_ = true;
-        count_cycles_ = false;
-    }
 
     MeshNetworkParams params_;
     Topology topo_;
@@ -287,24 +266,6 @@ class MeshNetwork : public Network
     std::uint64_t inflight_ = 0;
     /** Running sum of router switch traversals (telemetry). */
     std::uint64_t flits_traversed_total_ = 0;
-
-    // --- intra-cycle parallel engine (see docs/performance.md) ---
-    /** Resolved at construction; 1 = serial scheduler. */
-    unsigned cycle_threads_ = 1;
-    /** DoubleNetwork slice mode: skip flush/postCycle in engineCycle
-     *  (the parent runs them in request-then-reply order). */
-    bool defer_to_parent_ = false;
-    /** False for DoubleNetwork slices in engine mode (the parent
-     *  counts wall cycles once). */
-    bool count_cycles_ = true;
-    /** A flit tracer is attached: run shards inline on the caller so
-     *  trace callbacks stay single-threaded and in component order. */
-    bool tracer_attached_ = false;
-    /** Per-shard switch-traversal counts, folded into
-     *  flits_traversed_total_ at the end-of-cycle barrier.  One cache
-     *  line per shard: each worker increments its counter on every
-     *  switch traversal, so adjacent bare words would false-share. */
-    std::vector<parallel::PaddedU64> shard_traversed_;
 
     /** Monotone flit entry/exit counters for THIS network (NetStats
      *  totals are shared between double-network slices); their
@@ -372,10 +333,6 @@ class DoubleNetwork : public Network
   private:
     MeshNetwork &subnetFor(int proto_class) const;
 
-    /** Run the two slices as pool tasks (cycleThreads > 1). */
-    bool engine_ = false;
-    /** A tracer is attached: slices must run serially. */
-    bool telemetry_attached_ = false;
     std::unique_ptr<NetStats> stats_;
     /** Shared packet-id counter: ids must stay unique across slices. */
     std::uint64_t next_pkt_id_ = 1;

@@ -34,15 +34,11 @@ class SnapshotReader;
  * of the NI ejection buffer; returning false applies backpressure into
  * the network.  deliver() is called when the tail flit drains.
  *
- * Thread contract (phase-parallel cycles, common/parallel.hh): with
- * cycleThreads > 1 the network still calls tryReserve() and deliver()
- * only from the thread that calls Network::cycle — deliveries are
- * buffered per NI during the parallel drain phase and replayed, in
- * ascending node order, after the cycle's barriers.  Sinks therefore
- * need no synchronization of their own; a sink that injects from
- * inside deliver() must do so only into the network that delivered
- * (same-cycle echo into a sibling slice of a DoubleNetwork would
- * observe that slice mid-cycle).
+ * The network calls tryReserve() and deliver() only from the thread
+ * that calls Network::cycle, so sinks need no synchronization of their
+ * own.  A sink that injects from inside deliver() must do so only into
+ * the network that delivered (same-cycle echo into a sibling slice of
+ * a DoubleNetwork would observe that slice mid-cycle).
  */
 class PacketSink
 {

@@ -17,15 +17,13 @@
  *   - stage-ready words: per-router bit sets over the router's local
  *     input-VC index (port * vcs + vc) naming the VCs each pipeline
  *     stage must serve, plus per-output words of unowned output VCs.
- *     Each router reserves its own words, so no two routers (and no
- *     two parallel-engine shards) ever write the same word.
+ *     Each router reserves its own words, so no two routers ever
+ *     write the same word.
  *
  * Routers receive contiguous index ranges in node order at network
  * construction, so the ActiveSet's ascending-index iteration streams
- * the arrays front to back and the parallel engine's shard boundaries
- * (contiguous node ranges) partition the slabs into disjoint
- * contiguous blocks.  Standalone routers (unit tests) own a private
- * arena with the same layout.
+ * the arrays front to back.  Standalone routers (unit tests) own a
+ * private arena with the same layout.
  *
  * The arena is pure storage: every state-machine transition still
  * happens in Router/InputPort code, so the refactor is invisible to

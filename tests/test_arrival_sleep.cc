@@ -4,16 +4,17 @@
  *
  *  - ArrivalScheduler wheel mechanics: exact-cycle firing, bucket
  *    aliasing one wheel turn apart, gap sweeps when the driver skips
- *    cycles, the unprimed post-restore full sweep, the firedThrough
- *    horizon and deferred (parallel-phase) merging;
+ *    cycles, the unprimed post-restore full sweep and the
+ *    firedThrough horizon;
  *  - Channel integration: send posts a wake at the delivery cycle,
  *    stalled channels keep their pending bit alive, and clearing a
  *    stall re-marks the receiver immediately (the wheel slot already
  *    fired and will never fire again);
  *  - whole-network equivalence: with MeshNetworkParams::arrivalSleep
  *    on and off every statistic of a run must be identical, across
- *    idle-skip, channel slicing, the parallel cycle engine, torus
- *    wrap links and link-stall fault injection.
+ *    idle-skip, channel slicing, torus wrap links and link-stall
+ *    fault injection; TENOC_ARRIVAL_SLEEP overrides the setting only
+ *    when it is exactly 0 or 1.
  */
 
 #include <gtest/gtest.h>
@@ -115,23 +116,6 @@ TEST(ArrivalScheduler, WakeNowMarksImmediately)
     sched.wakeNow(3, 0x10);
     EXPECT_EQ(sched.pending(3), 0x10u);
     EXPECT_TRUE(set.test(3));
-}
-
-TEST(ArrivalScheduler, DeferredEntriesMergeAtBarrier)
-{
-    ActiveSet set(4);
-    ArrivalScheduler sched;
-    sched.configure(4, 2, &set);
-    sched.enableDeferred();
-    sched.beginDeferred();
-    sched.schedule(4, 1, 0x1);
-    // Frozen: nothing lands in the wheel until the barrier merge.
-    EXPECT_EQ(sched.scheduled(), 0u);
-    sched.endDeferred();
-    sched.mergeDeferred();
-    EXPECT_EQ(sched.scheduled(), 1u);
-    sched.fire(4);
-    EXPECT_EQ(sched.pending(1), 0x1u);
 }
 
 // --- Channel integration ---
@@ -303,36 +287,33 @@ expectArrivalSleepInvariant(MeshNetworkParams p, bool sliced,
 }
 
 class ArrivalSleepEquivalence
-    : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, bool, bool, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool, bool>>
 {};
 
 TEST_P(ArrivalSleepEquivalence, MatchesMarkOnSend)
 {
-    const auto [seed, idle_skip, sliced, threads] = GetParam();
+    const auto [seed, idle_skip, sliced] = GetParam();
     MeshNetworkParams p = baseParams(seed);
     p.idleSkip = idle_skip;
-    p.cycleThreads = threads;
     expectArrivalSleepInvariant(p, sliced, seed);
 }
 
 std::string
 arrivalCaseName(const ::testing::TestParamInfo<
-                std::tuple<std::uint64_t, bool, bool, unsigned>> &info)
+                std::tuple<std::uint64_t, bool, bool>> &info)
 {
-    const auto [seed, idle_skip, sliced, threads] = info.param;
+    const auto [seed, idle_skip, sliced] = info.param;
     std::string s = idle_skip ? "skip" : "full";
     s += sliced ? "_double_" : "_single_";
-    s += "t" + std::to_string(threads);
-    s += "_" + std::to_string(seed);
+    // "t1" (one cycle thread) keeps the established case ids stable.
+    s += "t1_" + std::to_string(seed);
     return s;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     TogglesAndSeeds, ArrivalSleepEquivalence,
     ::testing::Combine(::testing::Values<std::uint64_t>(3, 77),
-                       ::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(1u, 2u)),
+                       ::testing::Bool(), ::testing::Bool()),
     arrivalCaseName);
 
 TEST(ArrivalSleepEquivalence, TorusWrapLinks)

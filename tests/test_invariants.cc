@@ -6,15 +6,19 @@
  * retired from the active set while it still has work, pooled-packet
  * double release) is detected and reported precisely.  Also covers the
  * config-hardening fatal paths (0 VCs, off-mesh MCs, odd sliced flit
- * width, ...) as exit-code tests.
+ * width, ...) as exit-code tests, and the strict 0/1 parsing of the
+ * TENOC_VALIDATE / TENOC_ARRIVAL_SLEEP switches.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
+#include "common/log.hh"
 #include "noc/invariants.hh"
 #include "noc/mesh_network.hh"
+#include "scoped_env.hh"
 
 namespace tenoc
 {
@@ -261,6 +265,41 @@ TEST(Invariants, ValidateForcedByEnvParsesValues)
     EXPECT_FALSE(validateForcedByEnv());
     if (saved)
         ::setenv("TENOC_VALIDATE", restore.c_str(), 1);
+}
+
+TEST(EnvSwitch, ValidateAcceptsOnlyZeroOrOne)
+{
+    MeshNetworkParams p;
+    p.validate = false;
+    {
+        ScopedEnv env("TENOC_VALIDATE", "1");
+        EXPECT_TRUE(MeshNetwork(p).params().validate);
+    }
+    for (const char *bad : {"off", "false", "no", "2"}) {
+        ScopedEnv env("TENOC_VALIDATE", bad);
+        const auto warned = warnCount();
+        EXPECT_FALSE(MeshNetwork(p).params().validate) << bad;
+        EXPECT_GT(warnCount(), warned) << bad;
+    }
+}
+
+TEST(EnvSwitch, ArrivalSleepAcceptsOnlyZeroOrOne)
+{
+    MeshNetworkParams p;
+    p.arrivalSleep = false;
+    {
+        ScopedEnv env("TENOC_ARRIVAL_SLEEP", "1");
+        EXPECT_TRUE(MeshNetwork(p).params().arrivalSleep);
+    }
+    for (const char *bad : {"off", "false", "no", "2"}) {
+        ScopedEnv env("TENOC_ARRIVAL_SLEEP", bad);
+        const auto warned = warnCount();
+        EXPECT_FALSE(MeshNetwork(p).params().arrivalSleep) << bad;
+        EXPECT_GT(warnCount(), warned) << bad;
+    }
+    p.arrivalSleep = true;
+    ScopedEnv env("TENOC_ARRIVAL_SLEEP", "0");
+    EXPECT_FALSE(MeshNetwork(p).params().arrivalSleep);
 }
 
 using InvariantsDeathTest = ::testing::Test;

@@ -5,7 +5,7 @@
  * bit-for-bit in the final sealed state, not just statistically — from
  * the run that was never interrupted.  Exercised across the scheduler
  * knobs that must not leak into architectural state (idle-skip,
- * validation, cycle threads) and both network shapes, plus the
+ * validation) and both network shapes, plus the
  * rejection paths (wrong version, trailing bytes, wrong structure).
  */
 
@@ -130,13 +130,6 @@ TEST(Snapshot, ResumeMatchesWithValidation)
     expectResumeBitIdentical(p, "BFS", 0.05, 400);
 }
 
-TEST(Snapshot, ResumeMatchesWithCycleThreads)
-{
-    auto p = makeConfig(ConfigId::BASELINE_TB_DOR);
-    p.mesh.cycleThreads = 2;
-    expectResumeBitIdentical(p, "MM", 0.05, 300);
-}
-
 TEST(Snapshot, ResumeMatchesDoubleNetwork)
 {
     expectResumeBitIdentical(makeConfig(ConfigId::CP_CR_DOUBLE),
@@ -152,9 +145,10 @@ TEST(Snapshot, ResumeMatchesThroughputEffective)
 
 /**
  * One warm-up checkpoint consumed by two differently *scheduled*
- * downstream runs (validation on; two cycle threads).  Scheduler knobs
- * are bit-exact by design, so both resumed runs must land in the
- * identical final state as the uninterrupted reference.
+ * downstream runs (validation on; the full-tick scheduler restoring an
+ * idle-skip checkpoint).  Scheduler knobs are bit-exact by design, so
+ * both resumed runs must land in the identical final state as the
+ * uninterrupted reference.
  */
 TEST(Snapshot, WarmupFeedsTwoDownstreamConfigs)
 {
@@ -179,9 +173,9 @@ TEST(Snapshot, WarmupFeedsTwoDownstreamConfigs)
     a.run();
     EXPECT_EQ(want, sealedState(a));
 
-    auto with_threads = base;
-    with_threads.mesh.cycleThreads = 2;
-    Chip b(with_threads, prof);
+    auto full_tick = base;
+    full_tick.mesh.idleSkip = false;
+    Chip b(full_tick, prof);
     ASSERT_TRUE(b.restoreFromFile(path, &error)) << error;
     b.run();
     EXPECT_EQ(want, sealedState(b));
@@ -327,6 +321,18 @@ TEST(SnapshotDeathTest, ChipRefusesStructuralMismatch)
     EXPECT_DEATH(
         { victim.restoreFromFile(path, &error); }, "");
     std::remove(path.c_str());
+}
+
+TEST(SnapshotDeathTest, CycleThreadsAboveOneIsFatal)
+{
+    // Every network cycles serially; a config still asking for cycle
+    // threads must fail loudly instead of silently running serial.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto params = makeConfig(ConfigId::BASELINE_TB_DOR);
+    params.mesh.cycleThreads = 2;
+    const auto prof = scaleWorkload(findWorkload("MM"), 0.02);
+    EXPECT_EXIT({ Chip chip(params, prof); },
+                ::testing::ExitedWithCode(1), "engine was removed");
 }
 
 TEST(SnapshotDeathTest, OutputFileWithoutCycleIsFatal)
