@@ -13,6 +13,7 @@
 #include "common/log.hh"
 #include "common/snapshot.hh"
 #include "dram/gddr3.hh"
+#include "noc/invariants.hh"
 #include "telemetry/telemetry.hh"
 
 namespace tenoc
@@ -31,10 +32,10 @@ class Chip::CorePort : public CoreMemPort
         : chip_(chip), node_(node), slot_(slot)
     {}
 
-    bool
-    canSendRequests(unsigned n) const override
+    unsigned
+    requestSpace() const override
     {
-        return chip_.net_->injectSpace(node_, 0) >= n;
+        return chip_.net_->injectSpace(node_, 0);
     }
 
     void
@@ -155,6 +156,14 @@ Chip::Chip(const ChipParams &params, const KernelProfile &profile,
         sinks_.push_back(std::make_unique<CoreSink>(std::move(slots)));
         net_->setSink(n, sinks_.back().get());
     }
+
+    // The network's validation switch also audits the memory side's
+    // stall memos (the perfect NoC has no mesh to carry it).
+    const bool validate = params_.mesh.validate || validateForcedByEnv();
+    for (auto &mc : mcs_)
+        mc->setValidate(validate);
+    for (auto &c : cores_)
+        c->setValidate(validate);
 
     buildStatModel();
 }

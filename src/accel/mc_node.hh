@@ -93,6 +93,10 @@ class McNode : public PacketSink
     /** Restores state written by save(). */
     void restore(SnapshotReader &r);
 
+    /** Audits the DRAM channel's skipped cycles (see
+     *  DramChannel::setValidate). */
+    void setValidate(bool on) { dram_.setValidate(on, index_); }
+
   private:
     void injectReply(PacketPtr reply, Cycle icnt_now);
 

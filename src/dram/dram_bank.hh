@@ -7,6 +7,7 @@
 #ifndef TENOC_DRAM_DRAM_BANK_HH
 #define TENOC_DRAM_DRAM_BANK_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -29,15 +30,53 @@ class DramBank
     State state() const { return state_; }
     std::uint64_t activeRow() const { return active_row_; }
 
-    /** @return true if ACTIVATE may issue at `now` (tRC/tRP honored;
-     *  the cross-bank tRRD check belongs to the channel). */
-    bool canActivate(Cycle now) const;
+    // earliest*() give the first cycle at which a command may issue
+    // in the bank's current state (INVALID_CYCLE when the state rules
+    // it out).  Each can*() is `now >= earliest*()`, so the legality
+    // check and the bound the channel skips idle cycles by cannot
+    // drift apart.  Inline: the scheduler calls them per queued
+    // request.
 
-    /** @return true if a CAS to `row` may issue at `now`. */
-    bool canCas(Cycle now, std::uint64_t row) const;
+    /** ACTIVATE: bank idle, tRP and tRC honored (the cross-bank tRRD
+     *  bound belongs to the channel). */
+    Cycle
+    earliestActivate() const
+    {
+        if (state_ != State::IDLE)
+            return INVALID_CYCLE;
+        if (!ever_activated_)
+            return ready_at_;
+        return std::max<Cycle>(ready_at_, last_activate_ + timing_.tRC);
+    }
 
-    /** @return true if PRECHARGE may issue at `now`. */
-    bool canPrecharge(Cycle now) const;
+    /** CAS to `row`: the row is open and the previous burst issued. */
+    Cycle
+    earliestCas(std::uint64_t row) const
+    {
+        if (state_ != State::ACTIVE || active_row_ != row)
+            return INVALID_CYCLE;
+        return ready_at_;
+    }
+
+    /** PRECHARGE: the row is open, tRAS passed, the last CAS's data
+     *  finished, and the bank is ready. */
+    Cycle
+    earliestPrecharge() const
+    {
+        if (state_ != State::ACTIVE)
+            return INVALID_CYCLE;
+        return std::max({ras_done_at_, last_cas_end_, ready_at_});
+    }
+
+    bool canActivate(Cycle now) const { return now >= earliestActivate(); }
+
+    bool
+    canCas(Cycle now, std::uint64_t row) const
+    {
+        return now >= earliestCas(row);
+    }
+
+    bool canPrecharge(Cycle now) const { return now >= earliestPrecharge(); }
 
     /** Issues ACTIVATE for `row`. */
     void activate(Cycle now, std::uint64_t row);

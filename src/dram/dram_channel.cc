@@ -34,12 +34,15 @@ DramChannel::push(DramRequest req, Cycle now)
     req.arrival = now;
     req.coord = mapAddress(params_.timing, req.localAddr);
     queue_.push_back(std::move(req));
+    idle_until_ = 0;
 }
 
 void
 DramChannel::cycle(Cycle now)
 {
-    // Retire in-flight transfers whose data burst has finished.
+    // Retire in-flight transfers whose data burst has finished (this
+    // moves them to completed_, so the read-out buffer keeps its
+    // occupancy).
     while (!in_flight_.empty() && in_flight_.front().doneAt <= now) {
         completed_.push_back(std::move(in_flight_.front().req));
         in_flight_.pop_front();
@@ -53,83 +56,72 @@ DramChannel::cycle(Cycle now)
 
     if (queue_.empty())
         return;
-
-    const auto &t = params_.timing;
-
-    // One command per cycle.  First preference: a ready row hit whose
-    // data burst can be scheduled on the bus (FR-FCFS).  CAS is gated
-    // on read-out buffer space so a blocked reply path stalls the
-    // DRAM pipeline (Fig. 11).
-    const bool return_space =
-        in_flight_.size() + completed_.size() < params_.returnBufferCap;
-    if (!return_space)
+    if (!returnSpace())
         sched_stats_.blockedByReturnBuffer.inc();
-    const auto hit = return_space
-        ? FrFcfsScheduler::pickRowHit(queue_, *this, now,
-                                      &sched_stats_)
-        : std::optional<std::size_t>{};
-    if (hit) {
-        const std::size_t i = *hit;
-        DramRequest req = queue_[i];
-        auto &bank = banks_[req.coord.bank];
-        // Switching the data bus between reads and writes costs a
-        // turnaround bubble (tRTW / tWTR).
-        Cycle bus_ready = bus_free_at_;
-        if (served_ > 0 && req.write != last_cas_was_write_) {
-            bus_ready += req.write ? t.tRTW : t.tWTR;
+
+    if (now < idle_until_) {
+        // No command can be legal before idle_until_: the banks, the
+        // bus, the queue and the read-out buffer's occupancy only
+        // change when a command issues, a request is pushed or a
+        // completed one is popped, and each of those clears it.
+        if (validate_) {
+            const FrFcfsPick p = FrFcfsScheduler::pick(*this, now);
+            if (!p.empty())
+                tenoc_fatal("DRAM channel ", channel_id_,
+                            " skipped mem cycle ", now, " (idle until ",
+                            idle_until_, ") but FR-FCFS would ",
+                            p.rowHit ? "find a row hit"
+                                     : "issue a bank command");
         }
-        const Cycle data_start = std::max<Cycle>(now + t.tCL,
-                                                 bus_ready);
-        // Issue only if the data bus is free when the burst starts;
-        // otherwise wait (bus contention).
-        if (data_start == now + t.tCL) {
-            bank.cas(now);
-            bus_free_at_ = data_start + t.burstCycles();
-            last_cas_was_write_ = req.write;
-            if (req.openedRow)
-                ++row_misses_;
-            else
-                ++row_hits_;
-            InFlight fl;
-            fl.req = std::move(req);
-            fl.doneAt = data_start + t.burstCycles();
-            in_flight_.push_back(std::move(fl));
-            queue_.erase(queue_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-            ++served_;
-            return;
-        }
+        return;
     }
 
-    // Otherwise prepare a bank.  Banks are prepared in parallel: for
-    // each bank, only its oldest queued request steers it (no row
-    // thrashing), and the single command slot this cycle goes to the
-    // eligible preparation whose request is oldest (FCFS).
-    std::uint32_t seen_banks = 0;
-    for (auto &req : queue_) {
-        const std::uint32_t bit = 1u << req.coord.bank;
-        if (seen_banks & bit)
-            continue;
-        seen_banks |= bit;
-        auto &bank = banks_[req.coord.bank];
-        if (bank.state() == DramBank::State::ACTIVE) {
-            if (bank.activeRow() == req.coord.row)
-                continue; // ready or waiting on CAS/bus
-            if (bank.canPrecharge(now)) {
-                bank.precharge(now);
-                return;
-            }
-            continue;
-        }
-        // Bank idle: activate, honoring channel-wide tRRD.
-        if (bank.canActivate(now) &&
-            (!ever_activated_ || now >= last_activate_ + t.tRRD)) {
-            bank.activate(now, req.coord.row);
-            req.openedRow = true;
-            last_activate_ = now;
-            ever_activated_ = true;
-            return;
-        }
+    const FrFcfsPick p = FrFcfsScheduler::pick(*this, now);
+    if (p.rowHit) {
+        sched_stats_.rowHitPicks.inc();
+        sched_stats_.reorderDepth.sample(static_cast<double>(*p.rowHit));
+    }
+    idle_until_ = p.idleUntil;
+    apply(p, now);
+}
+
+void
+DramChannel::apply(const FrFcfsPick &p, Cycle now)
+{
+    const auto &t = params_.timing;
+    switch (p.command) {
+      case FrFcfsPick::Command::NONE:
+        break;
+      case FrFcfsPick::Command::CAS: {
+        DramRequest req = queue_[p.index];
+        banks_[req.coord.bank].cas(now);
+        const Cycle data_end = now + t.tCL + t.burstCycles();
+        bus_free_at_ = data_end;
+        last_cas_was_write_ = req.write;
+        if (req.openedRow)
+            ++row_misses_;
+        else
+            ++row_hits_;
+        InFlight fl;
+        fl.req = std::move(req);
+        fl.doneAt = data_end;
+        in_flight_.push_back(std::move(fl));
+        queue_.erase(queue_.begin() +
+                     static_cast<std::ptrdiff_t>(p.index));
+        ++served_;
+        break;
+      }
+      case FrFcfsPick::Command::PRECHARGE:
+        banks_[queue_[p.index].coord.bank].precharge(now);
+        break;
+      case FrFcfsPick::Command::ACTIVATE: {
+        DramRequest &req = queue_[p.index];
+        banks_[req.coord.bank].activate(now, req.coord.row);
+        req.openedRow = true;
+        last_activate_ = now;
+        ever_activated_ = true;
+        break;
+      }
     }
 }
 
@@ -140,6 +132,7 @@ DramChannel::popCompleted()
         return std::nullopt;
     DramRequest r = std::move(completed_.front());
     completed_.pop_front();
+    idle_until_ = 0; // the read-out buffer has room again
     return r;
 }
 
@@ -282,6 +275,7 @@ DramChannel::restore(SnapshotReader &r)
     restoreStat(r, sched_stats_.rowHitPicks);
     restoreStat(r, sched_stats_.reorderDepth);
     restoreStat(r, sched_stats_.blockedByReturnBuffer);
+    idle_until_ = 0;
 }
 
 } // namespace tenoc

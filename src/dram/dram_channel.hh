@@ -43,11 +43,32 @@ class DramChannel
     /** Enqueues a request (local address; caller compacted it). */
     void push(DramRequest req, Cycle now);
 
-    /** Advances one memory clock. */
+    /**
+     * Advances one memory clock: retires finished bursts, then issues
+     * at most one command chosen by FrFcfsScheduler::pick().  A cycle
+     * that finds no row hit and issues nothing remembers the pick's
+     * idleUntil and skips the scheduler until then; push(),
+     * popCompleted() and restore() forget it.
+     */
     void cycle(Cycle now);
 
     /** @return a completed request, if any (pop one per call). */
     std::optional<DramRequest> popCompleted();
+
+    /** Cycles below this skip the scheduler (0 when not skipping). */
+    Cycle idleUntil() const { return idle_until_; }
+
+    /**
+     * With `on`, every skipped cycle re-runs the scheduler's pick and
+     * is fatal if it would have found a row hit or issued a command;
+     * `channel` names the channel in that message.
+     */
+    void
+    setValidate(bool on, unsigned channel)
+    {
+        validate_ = on;
+        channel_id_ = channel;
+    }
 
     /** @return true when queue and in-flight pipeline are empty. */
     bool idle() const;
@@ -84,6 +105,17 @@ class DramChannel
     friend class FrFcfsScheduler;
 
   private:
+    /** @return true if the read-out buffer has room for another CAS. */
+    bool
+    returnSpace() const
+    {
+        return in_flight_.size() + completed_.size() <
+            params_.returnBufferCap;
+    }
+
+    /** Issues the command `p` chose at `now`. */
+    void apply(const FrFcfsPick &p, Cycle now);
+
     DramChannelParams params_;
     std::vector<DramBank> banks_;
     std::deque<DramRequest> queue_;
@@ -107,6 +139,11 @@ class DramChannel
     std::uint64_t bus_busy_cycles_ = 0;
     std::uint64_t pending_cycles_ = 0;
     FrFcfsStats sched_stats_;
+
+    /** Derived from the state above, so never serialized. */
+    Cycle idle_until_ = 0;
+    bool validate_ = false;
+    unsigned channel_id_ = 0;
 };
 
 } // namespace tenoc

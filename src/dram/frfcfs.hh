@@ -11,7 +11,6 @@
 #define TENOC_DRAM_FRFCFS_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "common/stats.hh"
@@ -35,34 +34,51 @@ struct DramRequest
 /** Scheduling-decision statistics (owned by the channel). */
 struct FrFcfsStats
 {
-    /** Row-hit selections that bypassed an older queued request. */
+    /** Cycles on which a ready row hit was found, whether or not the
+     *  data bus then let its CAS issue; the queue head counts too. */
     Counter rowHitPicks{"row_hit_picks"};
-    /** Queue depth skipped to reach the chosen row hit. */
+    /** Queue index of the row hit found on those cycles (0 when it is
+     *  the oldest request). */
     Accumulator reorderDepth{"reorder_depth"};
     /** Cycles CAS issue was gated by a full read-out buffer. */
     Counter blockedByReturnBuffer{"blocked_by_return_buffer"};
 };
 
-/** FR-FCFS selection over a request queue. */
+/** One memory cycle's FR-FCFS decision. */
+struct FrFcfsPick
+{
+    enum class Command : std::uint8_t { NONE, CAS, PRECHARGE, ACTIVATE };
+
+    Command command = Command::NONE;
+    /** Queue index of the request the command serves (CAS) or whose
+     *  bank it prepares (PRECHARGE, ACTIVATE). */
+    std::size_t index = 0;
+    /** Oldest ready row hit, also when the data bus blocks its CAS. */
+    std::optional<std::size_t> rowHit;
+    /** With no command and no row hit: the first cycle at which one
+     *  could become legal if the queue and the read-out buffer stay
+     *  as they are (INVALID_CYCLE if none can); 0 otherwise. */
+    Cycle idleUntil = 0;
+
+    bool
+    empty() const
+    {
+        return command == Command::NONE && !rowHit;
+    }
+};
+
+/** FR-FCFS selection over a channel's request queue. */
 class FrFcfsScheduler
 {
   public:
-    using Queue = std::deque<DramRequest>;
-
     /**
-     * @return index into `queue` of the oldest row-hit request whose
-     * bank can issue a CAS at `now`, if any.  When `stats` is given,
-     * records the pick and how far it reordered past the queue head.
+     * Decides what `ch` issues at `now` without changing anything:
+     * the oldest ready row hit whose data burst fits on the bus (CAS
+     * is gated on read-out buffer space, so a blocked reply path
+     * stalls the DRAM pipeline, Fig. 11); otherwise a precharge or
+     * activate steered by each bank's oldest request, oldest first.
      */
-    static std::optional<std::size_t>
-    pickRowHit(const Queue &queue, const class DramChannel &ch,
-               Cycle now, FrFcfsStats *stats = nullptr);
-
-    /**
-     * @return index of the oldest request overall (FCFS order), used
-     * to steer precharge/activate when no row hit is ready.
-     */
-    static std::optional<std::size_t> pickOldest(const Queue &queue);
+    static FrFcfsPick pick(const class DramChannel &ch, Cycle now);
 };
 
 } // namespace tenoc

@@ -78,6 +78,7 @@ SimtCore::restart()
     warps_done_ = 0;
     rr_warp_ = 0;
     slot_countdown_ = params_.issueInterval();
+    stall_memo_ = false;
     for (auto &warp : warps_) {
         warp.state = Warp::State::READY;
         warp.instsRemaining = source_->warpLength(warp.id);
@@ -95,7 +96,7 @@ SimtCore::cycle(Cycle core_cycle)
 {
     // Retry dirty-victim writebacks that found the port full (these
     // may outlive the warps that caused them).
-    while (!pending_writebacks_.empty() && port_.canSendRequests(1)) {
+    while (!pending_writebacks_.empty() && port_.requestSpace() >= 1) {
         port_.sendWrite(pending_writebacks_.front());
         pending_writebacks_.pop_front();
         ++writes_sent_;
@@ -114,7 +115,11 @@ SimtCore::cycle(Cycle core_cycle)
 bool
 SimtCore::issueSlot(Cycle core_cycle)
 {
-    (void)core_cycle;
+    if (stall_memo_ && port_.requestSpace() == stall_space_) {
+        if (validate_)
+            auditSkippedSlot(core_cycle);
+        return false;
+    }
     const unsigned n = static_cast<unsigned>(warps_.size());
     for (unsigned i = 0; i < n; ++i) {
         const unsigned w = (rr_warp_ + i) % n;
@@ -150,23 +155,25 @@ SimtCore::issueSlot(Cycle core_cycle)
             warp.state = Warp::State::BLOCKED;
         }
         rr_warp_ = (w + 1) % n;
+        stall_memo_ = false;
         return true;
     }
-    return false; // no ready warp
+    // No ready warp, or every ready warp holds a memory instruction
+    // that does not fit: later slots stall the same way until a reply
+    // arrives or the port's space changes.
+    stall_memo_ = true;
+    stall_space_ = port_.requestSpace();
+    return false;
 }
 
 bool
-SimtCore::executeMemInst(Warp &warp)
+SimtCore::memInstFits(const Warp &warp) const
 {
-    const bool is_store = warp.next.isStore;
     const auto &lines = warp.next.lines;
-
     // Conservative resource check: every line might miss and every
     // miss might add a dirty eviction.
-    if (!port_.canSendRequests(
-            static_cast<unsigned>(lines.size()) * 2)) {
+    if (port_.requestSpace() < lines.size() * 2)
         return false;
-    }
     unsigned new_entries = 0;
     for (Addr raw : lines) {
         const Addr line = l1_.lineAddr(raw);
@@ -175,10 +182,30 @@ SimtCore::executeMemInst(Warp &warp)
         if (!mshrs_.pending(line))
             ++new_entries;
     }
-    if (mshrs_.size() + new_entries > mshrs_.capacity())
+    return mshrs_.size() + new_entries <= mshrs_.capacity();
+}
+
+void
+SimtCore::auditSkippedSlot(Cycle core_cycle) const
+{
+    for (const Warp &warp : warps_) {
+        if (!warp.canIssue(profile_.maxPendingLines))
+            continue;
+        if (warp.next.valid && warp.next.isMem && !memInstFits(warp))
+            continue;
+        tenoc_fatal("core ", id_, " skipped the issue slot at core cycle ",
+                    core_cycle, " but warp ", warp.id, " could issue");
+    }
+}
+
+bool
+SimtCore::executeMemInst(Warp &warp)
+{
+    if (!memInstFits(warp))
         return false;
 
-    for (Addr raw : lines) {
+    const bool is_store = warp.next.isStore;
+    for (Addr raw : warp.next.lines) {
         const Addr line = l1_.lineAddr(raw);
         const auto res = l1_.access(line, is_store);
         if (res.hit)
@@ -206,12 +233,13 @@ SimtCore::executeMemInst(Warp &warp)
 void
 SimtCore::onReadReply(Addr line)
 {
+    stall_memo_ = false;
     // Real-tag mode: install the line; a dirty victim becomes a write
     // request (queued if the injection port is momentarily full).
     if (l1_.params().mode == CacheParams::Mode::REAL) {
         const bool dirty = pending_store_lines_.erase(line) > 0;
         if (const auto wb = l1_.fill(line, dirty)) {
-            if (port_.canSendRequests(1)) {
+            if (port_.requestSpace() >= 1) {
                 port_.sendWrite(*wb);
                 ++writes_sent_;
             } else {
@@ -347,6 +375,7 @@ SimtCore::restore(SnapshotReader &r)
     reads_sent_ = r.u64();
     writes_sent_ = r.u64();
     finish_cycle_ = r.u64();
+    stall_memo_ = false;
 }
 
 } // namespace tenoc

@@ -41,8 +41,8 @@ class CoreMemPort
 {
   public:
     virtual ~CoreMemPort() = default;
-    /** @return true if `n` more request packets can be queued now. */
-    virtual bool canSendRequests(unsigned n) const = 0;
+    /** @return how many more request packets can be queued now. */
+    virtual unsigned requestSpace() const = 0;
     /** Sends a read request for one line. */
     virtual void sendRead(Addr line) = 0;
     /** Sends a 64-byte write (dirty eviction / store flush). */
@@ -122,12 +122,25 @@ class SimtCore
     /** Restores state written by save(); warp count must match. */
     void restore(SnapshotReader &r);
 
+    /**
+     * With `on`, every issue slot skipped by the stall memo checks
+     * that no warp could have issued, and is fatal if one could.
+     */
+    void setValidate(bool on) { validate_ = on; }
+
   private:
     /** Attempts to issue one warp instruction; @return success. */
     bool issueSlot(Cycle core_cycle);
 
+    /** @return true if the decoded memory instruction of `warp` fits
+     *  the request port and the MSHRs now. */
+    bool memInstFits(const Warp &warp) const;
+
     /** Executes a memory instruction for `warp`; @return success. */
     bool executeMemInst(Warp &warp);
+
+    /** Fatal if a warp could issue in a slot the stall memo skipped. */
+    void auditSkippedSlot(Cycle core_cycle) const;
 
     unsigned id_;
     SimtCoreParams params_;
@@ -156,6 +169,18 @@ class SimtCore
     std::uint64_t reads_sent_ = 0;
     std::uint64_t writes_sent_ = 0;
     Cycle finish_cycle_ = 0;
+
+    /**
+     * Stall memo, derived and never serialized.  A slot that issues
+     * nothing arms it with the port's request space; while it is
+     * armed, slots that see the same space are stalls without a warp
+     * scan.  A slot that issues, a read reply, restart() and restore()
+     * disarm it: they are the only writers of the warp and MSHR state
+     * the scan reads.
+     */
+    bool stall_memo_ = false;
+    unsigned stall_space_ = 0;
+    bool validate_ = false;
 };
 
 } // namespace tenoc

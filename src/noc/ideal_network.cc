@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "common/snapshot.hh"
 
 namespace tenoc
 {
@@ -113,6 +114,64 @@ IdealNetwork::drained() const
         if (!q.empty())
             return false;
     return true;
+}
+
+namespace
+{
+
+void
+saveQueue(SnapshotWriter &w, const std::deque<PacketPtr> &q)
+{
+    w.u64(q.size());
+    for (const PacketPtr &pkt : q)
+        savePacket(w, pkt);
+}
+
+void
+restoreQueue(SnapshotReader &r, std::deque<PacketPtr> &q)
+{
+    q.clear();
+    const std::uint64_t n = r.u64();
+    for (std::uint64_t i = 0; i < n; ++i)
+        q.push_back(loadPacket(r));
+}
+
+} // namespace
+
+void
+IdealNetwork::save(SnapshotWriter &w) const
+{
+    w.tag("IDEA");
+    w.u32(topo_.numNodes());
+    w.boolean(params_.bandwidthLimited);
+    stats_.save(w);
+    for (const auto &q : pending_)
+        saveQueue(w, q);
+    saveQueue(w, waiting_);
+    w.f64(tokens_);
+    w.u64(next_pkt_id_);
+}
+
+void
+IdealNetwork::restore(SnapshotReader &r)
+{
+    r.tag("IDEA");
+    const std::uint32_t nodes = r.u32();
+    const bool bw_limited = r.boolean();
+    if (nodes != topo_.numNodes() ||
+        bw_limited != params_.bandwidthLimited) {
+        tenoc_fatal("snapshot holds an ideal network with ", nodes,
+                    " nodes", bw_limited ? " (bandwidth-limited)" : "",
+                    "; this one has ", topo_.numNodes(),
+                    params_.bandwidthLimited ? " (bandwidth-limited)"
+                                             : "");
+    }
+    stats_.restore(r);
+    for (auto &q : pending_)
+        restoreQueue(r, q);
+    restoreQueue(r, waiting_);
+    tokens_ = r.f64();
+    next_pkt_id_ = r.u64();
 }
 
 } // namespace tenoc

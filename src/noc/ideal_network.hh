@@ -50,6 +50,14 @@ class IdealNetwork : public Network
     bool drained() const override;
     NetStats &stats() override { return stats_; }
 
+    /** Serializes stats, queued packets, the token bucket and the
+     *  packet-id counter. */
+    void save(SnapshotWriter &w) const override;
+
+    /** Restores state written by save() into an identically
+     *  configured network. */
+    void restore(SnapshotReader &r) override;
+
   private:
     IdealNetworkParams params_;
     Topology topo_;

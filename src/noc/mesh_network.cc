@@ -812,8 +812,7 @@ void
 Network::save(SnapshotWriter &w) const
 {
     (void)w;
-    tenoc_fatal("checkpointing is not supported for this network kind "
-                "(ideal networks model no restorable state)");
+    tenoc_fatal("checkpointing is not supported for this network kind");
 }
 
 void

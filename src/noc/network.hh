@@ -160,8 +160,8 @@ class Network
 
     /**
      * Serializes all dynamic network state at a cycle boundary
-     * (checkpoint/restore).  The default fatals: ideal networks model
-     * no restorable state and cannot be checkpointed.
+     * (checkpoint/restore).  The default fatals, for networks that
+     * cannot be checkpointed.
      */
     virtual void save(SnapshotWriter &w) const;
 

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "accel/chip.hh"
 #include "accel/experiments.hh"
 
 namespace tenoc
@@ -250,6 +253,124 @@ TEST(Chip, KernelBarrierExposesNetworkTailLatency)
     const auto perfect =
         runWorkload(makeConfig(ConfigId::PERFECT), prof);
     EXPECT_GT(perfect.ipc, base.ipc * 1.01);
+}
+
+/** Integer counters of a finished run that no host-speed change may
+ *  move. */
+struct MemoryCounters
+{
+    std::uint64_t coreCycles = 0;
+    std::uint64_t icntCycles = 0;
+    std::uint64_t memCycles = 0;
+    std::uint64_t stallSlots = 0; ///< summed over cores
+    std::uint64_t readsSent = 0;
+    std::uint64_t writesSent = 0;
+    /** Per DRAM channel: served requests, row hits, row misses,
+     *  bus-busy cycles, pending cycles, blocked_by_return_buffer. */
+    std::vector<std::array<std::uint64_t, 6>> dram;
+};
+
+std::uint64_t
+statValue(const StatGroup &g, const std::string &name)
+{
+    for (const auto &v : g.values()) {
+        if (v.name == name)
+            return static_cast<std::uint64_t>(v.fn());
+    }
+    for (const Counter *c : g.counters()) {
+        if (c->name() == name)
+            return c->value();
+    }
+    ADD_FAILURE() << "no stat " << g.name() << "." << name;
+    return 0;
+}
+
+MemoryCounters
+runCounters(ConfigId id, const char *abbr, double scale)
+{
+    Chip chip(makeConfig(id), quick(abbr, scale));
+    EXPECT_FALSE(chip.run().timedOut);
+    const StatGroup &root = chip.statGroup();
+    MemoryCounters m;
+    m.coreCycles = statValue(root, "core_cycles");
+    m.icntCycles = statValue(root, "icnt_cycles");
+    m.memCycles = statValue(root, "mem_cycles");
+    for (const StatGroup *g : root.children()) {
+        if (g->name().rfind("core", 0) == 0) {
+            m.stallSlots += statValue(*g, "stall_slots");
+            m.readsSent += statValue(*g, "reads_sent");
+            m.writesSent += statValue(*g, "writes_sent");
+        } else if (g->name().rfind("mc", 0) == 0) {
+            const StatGroup &d = *g->children().at(0);
+            m.dram.push_back({statValue(d, "served_requests"),
+                              statValue(d, "row_hits"),
+                              statValue(d, "row_misses"),
+                              statValue(d, "bus_busy_cycles"),
+                              statValue(d, "pending_cycles"),
+                              statValue(d, "blocked_by_return_buffer")});
+        }
+    }
+    return m;
+}
+
+void
+expectCounters(const MemoryCounters &got, const MemoryCounters &want)
+{
+    EXPECT_EQ(got.coreCycles, want.coreCycles);
+    EXPECT_EQ(got.icntCycles, want.icntCycles);
+    EXPECT_EQ(got.memCycles, want.memCycles);
+    EXPECT_EQ(got.stallSlots, want.stallSlots);
+    EXPECT_EQ(got.readsSent, want.readsSent);
+    EXPECT_EQ(got.writesSent, want.writesSent);
+    ASSERT_EQ(got.dram.size(), want.dram.size());
+    for (std::size_t c = 0; c < want.dram.size(); ++c)
+        EXPECT_EQ(got.dram[c], want.dram[c]) << "DRAM channel " << c;
+}
+
+// Pinned from a run before the memory-side stall memos existed: the
+// memos only skip work whose outcome is known, so any counter they
+// move is a bug (the CAS/row-hit/idle split of every DRAM cycle shows
+// up in these numbers).
+
+TEST(ChipCounters, PerfectNocMemorySideIsPinned)
+{
+    MemoryCounters want;
+    want.coreCycles = 3507;
+    want.icntCycles = 1630;
+    want.memCycles = 2998;
+    want.stallSlots = 17304;
+    want.readsSent = 3220;
+    want.writesSent = 951;
+    want.dram = {{378, 80, 298, 2786, 2862, 90},
+                 {360, 79, 281, 2790, 2844, 84},
+                 {366, 85, 281, 2796, 2825, 85},
+                 {361, 90, 271, 2833, 2863, 53},
+                 {359, 82, 277, 2741, 2765, 85},
+                 {343, 89, 254, 2724, 2779, 67},
+                 {379, 86, 293, 2867, 2909, 105},
+                 {345, 83, 262, 2693, 2716, 95}};
+    expectCounters(runCounters(ConfigId::PERFECT, "BFS", 0.05), want);
+}
+
+TEST(ChipCounters, TbDorMemorySideIsPinned)
+{
+    MemoryCounters want;
+    want.coreCycles = 6891;
+    want.icntCycles = 3203;
+    want.memCycles = 5891;
+    want.stallSlots = 33011;
+    want.readsSent = 3219;
+    want.writesSent = 951;
+    want.dram = {{337, 64, 273, 3036, 4389, 1385},
+                 {356, 68, 288, 3349, 5015, 3368},
+                 {339, 68, 271, 3225, 5294, 4006},
+                 {369, 81, 288, 3413, 4723, 2564},
+                 {365, 74, 291, 3372, 4638, 2060},
+                 {365, 101, 264, 3378, 5338, 3194},
+                 {384, 78, 306, 3668, 5713, 4274},
+                 {378, 99, 279, 3489, 4838, 2178}};
+    expectCounters(
+        runCounters(ConfigId::BASELINE_TB_DOR, "BFS", 0.05), want);
 }
 
 TEST(Chip, EnvScaleParsing)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hh"
 #include "dram/dram_channel.hh"
 
 namespace tenoc
@@ -200,6 +203,168 @@ TEST(DramChannel, StreamingReachesHighBusUtilization)
     // 200 lines x 4-cycle bursts = 800 busy cycles minimum.
     const double lines_per_cycle = 200.0 / static_cast<double>(now);
     EXPECT_GT(lines_per_cycle, 0.15);
+}
+
+/** Channel-local address of 64-byte column `col` in `row` of `bank`. */
+Addr
+at(unsigned bank, std::uint64_t row, unsigned col = 0)
+{
+    const Gddr3Timing t;
+    return (row * t.numBanks + bank) * t.rowBytes + col * 64ull;
+}
+
+/** Cycles `ch` through [from, to). */
+void
+cycleRange(DramChannel &ch, Cycle from, Cycle to)
+{
+    for (Cycle t = from; t < to; ++t)
+        ch.cycle(t);
+}
+
+TEST(DramChannelIdleMemo, ActivateWaitsOnTrrd)
+{
+    DramChannel ch(params());
+    ch.push(read(at(0, 0), 1), 0);
+    ch.push(read(at(1, 0), 2), 0);
+    cycleRange(ch, 0, 2); // ACT bank 0 at 0; bank 1 waits on tRRD
+    EXPECT_EQ(ch.idleUntil(), 8u);
+    for (Cycle t = 2; t < 8; ++t)
+        EXPECT_TRUE(FrFcfsScheduler::pick(ch, t).empty()) << t;
+    cycleRange(ch, 2, 8);
+    EXPECT_EQ(ch.bank(1).state(), DramBank::State::IDLE);
+    ch.cycle(8);
+    EXPECT_EQ(ch.bank(1).state(), DramBank::State::ACTIVE);
+}
+
+/** Opens row 0 of bank 0 at 0, serves it at 12 (last CAS data ends at
+ *  12 + tCL + burst = 25) and leaves a row-1 request behind it. */
+DramChannel
+conflictAfterOneHit(const DramChannelParams &p)
+{
+    DramChannel ch(p);
+    ch.push(read(at(0, 0), 1), 0);
+    ch.push(read(at(0, 1), 2), 0);
+    cycleRange(ch, 0, 14);
+    EXPECT_EQ(ch.servedRequests(), 1u);
+    return ch;
+}
+
+TEST(DramChannelIdleMemo, PrechargeWaitsOnLastCasEnd)
+{
+    DramChannel ch = conflictAfterOneHit(params()); // tRAS 21 < 25
+    EXPECT_EQ(ch.idleUntil(), 25u);
+    cycleRange(ch, 14, 25);
+    EXPECT_EQ(ch.bank(0).state(), DramBank::State::ACTIVE);
+    ch.cycle(25);
+    EXPECT_EQ(ch.bank(0).state(), DramBank::State::IDLE);
+}
+
+TEST(DramChannelIdleMemo, PrechargeWaitsOnTras)
+{
+    auto p = params();
+    p.timing.tRAS = 40;
+    DramChannel ch = conflictAfterOneHit(p);
+    EXPECT_EQ(ch.idleUntil(), 40u);
+    cycleRange(ch, 14, 40);
+    EXPECT_EQ(ch.bank(0).state(), DramBank::State::ACTIVE);
+    ch.cycle(40);
+    EXPECT_EQ(ch.bank(0).state(), DramBank::State::IDLE);
+}
+
+TEST(DramChannelIdleMemo, ActivateWaitsOnTrc)
+{
+    auto p = params();
+    p.timing.tRC = 60; // binds over the precharge's ready cycle 25 + tRP
+    DramChannel ch = conflictAfterOneHit(p);
+    cycleRange(ch, 14, 27); // PRE at 25
+    EXPECT_EQ(ch.idleUntil(), 60u);
+    cycleRange(ch, 27, 60);
+    EXPECT_EQ(ch.bank(0).state(), DramBank::State::IDLE);
+    ch.cycle(60);
+    EXPECT_EQ(ch.bank(0).state(), DramBank::State::ACTIVE);
+    EXPECT_EQ(ch.bank(0).activeRow(), 1u);
+}
+
+TEST(DramChannelIdleMemo, PushMidSkipIsServedOnTime)
+{
+    auto p = params();
+    p.timing.tRC = 60;
+    DramChannel ch = conflictAfterOneHit(p);
+    cycleRange(ch, 14, 26); // the first read retires at 25, PRE at 25
+    while (ch.popCompleted()) {
+    }
+    cycleRange(ch, 26, 30);
+    ASSERT_EQ(ch.idleUntil(), 60u);
+    // Bank 2 is idle and tRRD has long passed: ACT at 30, CAS at
+    // 30 + tRCD = 42, data done at 42 + tCL + burst = 55.
+    ch.push(read(at(2, 0), 3), 30);
+    EXPECT_EQ(ch.idleUntil(), 0u);
+    Cycle done_at = 0;
+    for (Cycle t = 30; t < 100 && done_at == 0; ++t) {
+        ch.cycle(t);
+        while (auto r = ch.popCompleted()) {
+            if (r->tag == 3)
+                done_at = t;
+        }
+    }
+    EXPECT_EQ(done_at, 55u);
+}
+
+/**
+ * Seeded random read/write streams over mixed banks and rows, with a
+ * two-entry read-out buffer drained at random so it is often full.
+ * Whenever a cycle arms the idle memo, the pick must be empty at
+ * every cycle below the bound and not empty at the bound itself; a
+ * skipped cycle's pick must be empty too.
+ */
+TEST(DramChannelIdleMemo, BoundHoldsOnRandomStreams)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(seed);
+        auto p = params();
+        p.returnBufferCap = 2;
+        DramChannel ch(p);
+        Rng rng(seed);
+        std::uint64_t tag = 0;
+        unsigned armed = 0;
+        unsigned skipped = 0;
+        for (Cycle t = 0; t < 3000; ++t) {
+            if (ch.canAccept() && rng.nextBool(0.3)) {
+                const Addr a =
+                    at(static_cast<unsigned>(rng.nextRange(8)),
+                       rng.nextRange(3),
+                       static_cast<unsigned>(rng.nextRange(32)));
+                ch.push(rng.nextBool(0.3) ? write(a, tag) : read(a, tag),
+                        t);
+                ++tag;
+            }
+            if (t < ch.idleUntil()) {
+                ++skipped;
+                EXPECT_TRUE(FrFcfsScheduler::pick(ch, t).empty()) << t;
+            }
+            ch.cycle(t);
+            const Cycle bound = ch.idleUntil();
+            if (bound > t + 1) {
+                ++armed;
+                const Cycle last = std::min<Cycle>(bound, t + 200);
+                for (Cycle s = t + 1; s < last; ++s)
+                    ASSERT_TRUE(FrFcfsScheduler::pick(ch, s).empty())
+                        << "armed at " << t << " until " << bound
+                        << ", ready at " << s;
+                if (bound != INVALID_CYCLE) {
+                    EXPECT_FALSE(FrFcfsScheduler::pick(ch, bound).empty())
+                        << "armed at " << t << " until " << bound;
+                }
+            }
+            if (rng.nextBool(0.4))
+                ch.popCompleted();
+        }
+        EXPECT_GT(armed, 50u);
+        EXPECT_GT(skipped, 100u);
+        EXPECT_GT(ch.schedStats().blockedByReturnBuffer.value(), 100u);
+        EXPECT_GT(ch.servedRequests(), 300u);
+        EXPECT_GT(ch.rowMisses(), 50u);
+    }
 }
 
 TEST(DramChannelDeath, OverflowPanics)

@@ -18,10 +18,10 @@ namespace
 class FakePort : public CoreMemPort
 {
   public:
-    bool
-    canSendRequests(unsigned n) const override
+    unsigned
+    requestSpace() const override
     {
-        return accepting && n <= 64;
+        return accepting ? space : 0;
     }
 
     void
@@ -49,6 +49,7 @@ class FakePort : public CoreMemPort
     }
 
     bool accepting = true;
+    unsigned space = 64;
     unsigned reads = 0;
     unsigned writes = 0;
     std::deque<Addr> pending;
@@ -198,6 +199,93 @@ TEST(SimtCore, StalledInstructionIsNotRedrawn)
     ASSERT_TRUE(core.done());
     // With 50 insts at memFraction 0.5 expect roughly half memory.
     EXPECT_NEAR(static_cast<double>(core.memInsts()), 25.0, 12.0);
+}
+
+/** One warp whose every instruction is a one-line load that misses
+ *  (the request-space check wants 2 slots per line). */
+KernelProfile
+loadOnlyProfile()
+{
+    auto prof = computeProfile();
+    prof.warpsPerCore = 1;
+    prof.memFraction = 1.0;
+    prof.loadFraction = 1.0;
+    prof.l1HitRate = 0.0;
+    prof.avgLinesPerMemInst = 1.0;
+    prof.maxPendingLines = 64;
+    prof.writebackRate = 0.0;
+    return prof;
+}
+
+TEST(SimtCoreStallMemo, PortSpaceGrowthWithoutReplyResumesIssue)
+{
+    FakePort port;
+    port.space = 1;
+    SimtCoreParams params;
+    const auto prof = loadOnlyProfile();
+    SimtCore core(0, params, prof, port, 8);
+    for (Cycle t = 0; t < 40; ++t) // slots at t = 3, 7, ..., 39
+        core.cycle(t);
+    EXPECT_EQ(port.reads, 0u);
+    EXPECT_EQ(core.stallSlots(), 10u);
+    // More space, no reply: the very next slot must look again.
+    port.space = 2;
+    for (Cycle t = 40; t < 44; ++t)
+        core.cycle(t);
+    EXPECT_EQ(port.reads, 1u);
+    EXPECT_EQ(core.stallSlots(), 10u);
+}
+
+TEST(SimtCoreStallMemo, MshrFullStallResumesAfterReply)
+{
+    FakePort port;
+    SimtCoreParams params;
+    params.mshrEntries = 2;
+    auto prof = loadOnlyProfile();
+    prof.warpsPerCore = 4;
+    SimtCore core(0, params, prof, port, 9);
+    Cycle t = 0;
+    for (; t < 40; ++t)
+        core.cycle(t);
+    ASSERT_EQ(port.reads, 2u); // both MSHRs busy, no reply yet
+    const auto stalls = core.stallSlots();
+    EXPECT_EQ(stalls, 8u);
+    port.replyOldest(core, 1);
+    for (const Cycle end = t + 4; t < end; ++t)
+        core.cycle(t);
+    EXPECT_EQ(port.reads, 3u);
+    EXPECT_EQ(core.stallSlots(), stalls);
+}
+
+TEST(SimtCoreStallMemo, StallSlotsCountEveryFailedSlot)
+{
+    // A scripted run that opens and closes the port, and answers in
+    // bursts: every slot that issues nothing, memoized or not, is one
+    // stall slot.
+    FakePort port;
+    SimtCoreParams params;
+    params.mshrEntries = 8;
+    auto prof = computeProfile();
+    prof.memFraction = 0.6;
+    prof.l1HitRate = 0.2;
+    prof.maxPendingLines = 4;
+    SimtCore core(0, params, prof, port, 10);
+    std::uint64_t failed = 0;
+    Cycle t = 0;
+    for (; !core.done() && t < 200000; ++t) {
+        port.accepting = (t / 64) % 3 != 0;
+        port.space = 2 + static_cast<unsigned>((t / 16) % 5);
+        const auto before = core.warpInstsIssued();
+        core.cycle(t);
+        if (t % params.issueInterval() == params.issueInterval() - 1 &&
+            core.warpInstsIssued() == before)
+            ++failed;
+        if (t % 40 == 0)
+            port.replyOldest(core, 6);
+    }
+    ASSERT_TRUE(core.done());
+    EXPECT_GT(failed, 100u);
+    EXPECT_EQ(core.stallSlots(), failed);
 }
 
 TEST(SimtCore, OccupancyLimitedByProfileWarps)

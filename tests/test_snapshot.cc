@@ -48,7 +48,8 @@ sealedState(const Chip &chip)
 /**
  * Audits every mesh of `net` (both slices of a double network) at
  * `now`: a restore must rebuild derived state, such as the routers'
- * stage-ready words, to match the restored VC state.
+ * stage-ready words, to match the restored VC state.  Networks with
+ * no mesh slices (the ideal networks) have nothing to audit.
  */
 void
 expectCleanAudit(Network &net, Cycle now)
@@ -59,7 +60,6 @@ expectCleanAudit(Network &net, Cycle now)
     } else if (auto *mn = dynamic_cast<MeshNetwork *>(&net)) {
         meshes = {mn};
     }
-    ASSERT_FALSE(meshes.empty()) << "not a mesh network";
     for (const MeshNetwork *mesh : meshes) {
         for (const Violation &v : mesh->checker().audit(now)) {
             ADD_FAILURE() << "[" << violationKindName(v.kind) << "] "
@@ -141,6 +141,24 @@ TEST(Snapshot, ResumeMatchesThroughputEffective)
     auto p = makeConfig(ConfigId::THROUGHPUT_EFFECTIVE);
     p.mesh.validate = true;
     expectResumeBitIdentical(p, "MM", 0.05, 300);
+}
+
+TEST(Snapshot, ResumeMatchesPerfectNoc)
+{
+    // At icnt cycle 380, 24 of the 28 cores are stalled on nearly
+    // full MSHR tables with their stall memos armed, the DRAM queues
+    // are full and one channel's idle memo is armed.  The memos are
+    // not serialized: the resumed chip starts with them disarmed, and
+    // validation audits every slot and cycle they skip afterwards.
+    auto p = makeConfig(ConfigId::PERFECT);
+    p.mesh.validate = true;
+    expectResumeBitIdentical(p, "BFS", 0.05, 380);
+}
+
+TEST(Snapshot, ResumeMatchesBandwidthLimitedNoc)
+{
+    // Packets wait for tokens in the ideal network's own queue.
+    expectResumeBitIdentical(makeBwLimitedConfig(0.2), "BFS", 0.05, 300);
 }
 
 /**
