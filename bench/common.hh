@@ -47,54 +47,13 @@ scaleFromArgs(int argc, char **argv, double def = 1.0)
     return envScale(def);
 }
 
-/** Runs the full suite under a config, with a progress note. */
-inline std::vector<SuiteRun>
-suite(ConfigId id, double scale)
-{
-    std::fprintf(stderr, "[bench] running suite: %s (scale %.2f)\n",
-                 configName(id), scale);
-    return runSuite(id, scale);
-}
-
 /**
  * Runs the full suite under several configs at once, fanning the
  * independent (config, workload) points over the sweep thread pool.
  * Results are grouped back per config in argument order and each group
- * is byte-identical to the sequential suite(id, scale) run (every
+ * is byte-identical to a sequential runSuite(configs[c], scale) (every
  * point seeds its own RNG; see bench/sweep.hh).
  */
-inline std::vector<std::vector<SuiteRun>>
-suites(const std::vector<ConfigId> &ids, double scale)
-{
-    const auto &profiles = workloadSuite();
-    const std::size_t per = profiles.size();
-    for (auto id : ids) {
-        std::fprintf(stderr,
-                     "[bench] running suite: %s (scale %.2f, "
-                     "%u threads)\n",
-                     configName(id), scale, sweepThreads());
-    }
-    const auto flat =
-        sweepMap(ids.size() * per, [&](std::size_t i) {
-            const ConfigId id = ids[i / per];
-            const KernelProfile &profile = profiles[i % per];
-            const KernelProfile scaled = scale == 1.0
-                ? profile : scaleWorkload(profile, scale);
-            SuiteRun run;
-            run.abbr = profile.abbr;
-            run.cls = profile.expectedClass;
-            run.result = runWorkload(makeConfig(id), scaled);
-            return run;
-        });
-    std::vector<std::vector<SuiteRun>> grouped(ids.size());
-    for (std::size_t c = 0; c < ids.size(); ++c) {
-        grouped[c].assign(flat.begin() + c * per,
-                          flat.begin() + (c + 1) * per);
-    }
-    return grouped;
-}
-
-/** suites() for explicit ChipParams (ablations that tweak fields). */
 inline std::vector<std::vector<SuiteRun>>
 suites(const std::vector<ChipParams> &configs, double scale)
 {
@@ -117,6 +76,21 @@ suites(const std::vector<ChipParams> &configs, double scale)
                           flat.begin() + (c + 1) * per);
     }
     return grouped;
+}
+
+/** suites() for named configurations, with a progress note each. */
+inline std::vector<std::vector<SuiteRun>>
+suites(const std::vector<ConfigId> &ids, double scale)
+{
+    std::vector<ChipParams> configs;
+    for (auto id : ids) {
+        std::fprintf(stderr,
+                     "[bench] running suite: %s (scale %.2f, "
+                     "%u threads)\n",
+                     configName(id), scale, sweepThreads());
+        configs.push_back(makeConfig(id));
+    }
+    return suites(configs, scale);
 }
 
 /** Formats a ratio as a signed percentage. */

@@ -33,14 +33,16 @@ main(int argc, char **argv)
         {"Ideal NoC", ConfigId::PERFECT, true},
     };
 
-    const auto base = suite(ConfigId::BASELINE_TB_DOR, scale);
+    std::vector<ConfigId> ids;
+    for (const auto &pt : points)
+        ids.push_back(pt.id);
+    const auto runs = suites(ids, scale);
     std::printf("\n%-30s %10s %12s %14s %12s\n", "design", "HM IPC",
                 "area [mm^2]", "1/area [1/mm2]", "IPC/mm^2");
     double base_eff = 0.0;
-    for (const auto &pt : points) {
-        const auto runs = (pt.id == ConfigId::BASELINE_TB_DOR)
-            ? base : suite(pt.id, scale);
-        const double ipc = harmonicMeanIpc(runs);
+    for (std::size_t i = 0; i < std::size(points); ++i) {
+        const Point &pt = points[i];
+        const double ipc = harmonicMeanIpc(runs[i]);
         // An ideal NoC has zero interconnect area (Sec. I).
         const double area = pt.ideal_area ? AreaModel::kComputeAreaMm2
                                           : chipAreaFor(pt.id);

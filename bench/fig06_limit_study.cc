@@ -21,9 +21,19 @@ main(int argc, char **argv)
            "IPC/cost peaks at 0.7-0.8");
     const double scale = scaleFromArgs(argc, argv, 0.5);
 
-    // Infinite-bandwidth reference (perfect network).
-    const auto inf = suite(ConfigId::PERFECT, scale);
-    const double inf_ipc = harmonicMeanIpc(inf);
+    // Infinite-bandwidth reference (perfect network) first, then one
+    // bandwidth-capped network per ratio, all in one parallel sweep.
+    const std::vector<double> ratios = {0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
+                                        0.8, 0.9, 1.0, 1.2, 1.4, 1.6};
+    std::vector<ChipParams> configs = {makeConfig(ConfigId::PERFECT)};
+    for (double x : ratios)
+        configs.push_back(makeBwLimitedConfig(x));
+    std::fprintf(stderr,
+                 "[bench] running suites: PERFECT and %zu BW ratios "
+                 "(scale %.2f, %u threads)\n",
+                 ratios.size(), scale, sweepThreads());
+    const auto runs = suites(configs, scale);
+    const double inf_ipc = harmonicMeanIpc(runs[0]);
 
     const AreaModel model;
     std::printf("\n%-10s %10s %14s %16s\n", "BW ratio", "HM IPC",
@@ -32,11 +42,9 @@ main(int argc, char **argv)
     double best_ratio = 0.0;
     double best_eff = 0.0;
     std::vector<std::tuple<double, double, double>> rows;
-    for (double x : {0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2,
-                     1.4, 1.6}) {
-        std::fprintf(stderr, "[bench] BW ratio %.2f\n", x);
-        const auto runs = runSuite(makeBwLimitedConfig(x), scale);
-        const double ipc = harmonicMeanIpc(runs);
+    for (std::size_t i = 0; i < ratios.size(); ++i) {
+        const double x = ratios[i];
+        const double ipc = harmonicMeanIpc(runs[i + 1]);
         // NoC area scales with the square of channel bandwidth
         // (Sec. III-A); ratio 0.816 corresponds to 16B channels.
         MeshAreaSpec spec;

@@ -18,8 +18,10 @@ main(int argc, char **argv)
            "with MC injection rate");
     const double scale = scaleFromArgs(argc, argv);
 
-    const auto base = suite(ConfigId::BASELINE_TB_DOR, scale);
-    const auto perf = suite(ConfigId::PERFECT, scale);
+    const auto runs =
+        suites({ConfigId::BASELINE_TB_DOR, ConfigId::PERFECT}, scale);
+    const auto &base = runs[0];
+    const auto &perf = runs[1];
     const auto sp = speedups(base, perf);
 
     std::printf("\n--- Fig. 7: perfect-NoC speedup per benchmark ---\n");

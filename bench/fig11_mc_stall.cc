@@ -18,7 +18,7 @@ main(int argc, char **argv)
         telemetry::parseTelemetryFlags(argc, argv);
     const double scale = scaleFromArgs(argc, argv);
 
-    const auto base = suite(ConfigId::BASELINE_TB_DOR, scale);
+    const auto base = suites({ConfigId::BASELINE_TB_DOR}, scale)[0];
 
     std::printf("\n%-6s %-6s %14s %14s %16s\n", "bench", "class",
                 "stall (mean)", "stall (max)", "DRAM efficiency");

@@ -60,37 +60,13 @@ struct NullSink : PacketSink
 };
 
 /**
- * Applies a `--topology` axis value to the network parameters:
- * "mesh" (default), "torus" (wrap links + dateline dimension-order
- * routing), or "cmesh" (4 terminals concentrated per router).
- */
-void
-applyTopologyAxis(MeshNetworkParams &p, const std::string &topology)
-{
-    if (topology == "mesh")
-        return;
-    if (topology == "torus") {
-        p.topo.kind = TopoKind::TORUS;
-    } else if (topology == "cmesh") {
-        p.topo.concentration = 4;
-    } else {
-        std::fprintf(stderr,
-                     "noc_speed: unknown --topology '%s' "
-                     "(expected mesh, torus, or cmesh)\n",
-                     topology.c_str());
-        std::exit(1);
-    }
-}
-
-/**
  * Runs `cycles` interconnect cycles of many-to-few request traffic
  * (each compute node injects a 1-flit packet to a random MC with
  * probability `load` per cycle) on a `dim` x `dim` network and times
  * the loop.
  */
 SpeedPoint
-runPoint(bool idle_skip, double load, Cycle cycles, unsigned dim = 6,
-         const std::string &topology = "mesh")
+runPoint(bool idle_skip, double load, Cycle cycles, unsigned dim = 6)
 {
     MeshNetworkParams p; // defaults = 6x6 Table III baseline
     p.idleSkip = idle_skip;
@@ -99,7 +75,6 @@ runPoint(bool idle_skip, double load, Cycle cycles, unsigned dim = 6,
         p.topo.cols = dim;
         p.topo.numMcs = dim;
     }
-    applyTopologyAxis(p, topology);
     MeshNetwork net(p);
     PhaseProfile profile;
     if (g_profile)
@@ -110,21 +85,16 @@ runPoint(bool idle_skip, double load, Cycle cycles, unsigned dim = 6,
         net.setSink(n, &sink);
 
     Rng rng(7);
-    const unsigned conc = topo.concentration();
     const auto t0 = std::chrono::steady_clock::now();
     for (Cycle now = 0; now < cycles; ++now) {
         for (NodeId core : topo.computeNodes()) {
-            // One Bernoulli draw per terminal: a concentrated router
-            // carries its full complement of cores' offered load.
-            for (unsigned s = 0; s < conc; ++s) {
-                if (rng.nextBool(load) && net.canInject(core, 0)) {
-                    auto pkt = makePacket();
-                    pkt->src = core;
-                    pkt->dst = rng.pick(topo.mcNodes());
-                    pkt->sizeFlits = 1;
-                    pkt->sizeBytes = p.flitBytes;
-                    net.inject(std::move(pkt), now);
-                }
+            if (rng.nextBool(load) && net.canInject(core, 0)) {
+                auto pkt = makePacket();
+                pkt->src = core;
+                pkt->dst = rng.pick(topo.mcNodes());
+                pkt->sizeFlits = 1;
+                pkt->sizeBytes = p.flitBytes;
+                net.inject(std::move(pkt), now);
             }
         }
         net.cycle(now);
@@ -216,8 +186,7 @@ printPoint(const char *label, const SpeedPoint &pt)
  * the router count so every point does comparable total work.
  */
 int
-runMeshSweep(bool huge, double scale, const std::string &compare_path,
-             const std::string &topology);
+runMeshSweep(bool huge, double scale, const std::string &compare_path);
 
 /**
  * Regression gate (`--compare baseline.json`): matches the measured
@@ -440,8 +409,7 @@ compareMeshBaseline(const std::string &path,
 }
 
 int
-runMeshSweep(bool huge, double scale, const std::string &compare_path,
-             const std::string &topology)
+runMeshSweep(bool huge, double scale, const std::string &compare_path)
 {
     using telemetry::JsonValue;
 
@@ -456,14 +424,13 @@ runMeshSweep(bool huge, double scale, const std::string &compare_path,
         dims.push_back(128);
 
     std::printf("noc_speed --mesh-sweep: %.2f flits/node/cycle, "
-                "8x8..%ux%u %s (scale %.2f), plus %.2f at 64x64\n",
-                LOAD, dims.back(), dims.back(), topology.c_str(),
-                scale, HIGH_LOAD);
+                "8x8..%ux%u mesh (scale %.2f), plus %.2f at 64x64\n",
+                LOAD, dims.back(), dims.back(), scale, HIGH_LOAD);
 
     JsonValue doc = JsonValue::makeObject();
     doc.set("benchmark", JsonValue("noc_speed"));
     doc.set("mode", JsonValue("mesh_sweep"));
-    doc.set("topology", JsonValue(topology));
+    doc.set("topology", JsonValue("mesh"));
     doc.set("load", JsonValue(LOAD));
     doc.set("scale", JsonValue(scale));
     JsonValue points = JsonValue::makeArray();
@@ -479,7 +446,7 @@ runMeshSweep(bool huge, double scale, const std::string &compare_path,
                               (static_cast<double>(dim) * dim);
         const auto cycles =
             std::max<Cycle>(100, static_cast<Cycle>(budget));
-        const auto pt = runPoint(true, load, cycles, dim, topology);
+        const auto pt = runPoint(true, load, cycles, dim);
         const auto routers = static_cast<double>(dim) * dim;
         const double per_router = pt.cyclesPerSec * routers;
         rates.push_back(MeshRate{dim, load, per_router});
@@ -516,14 +483,12 @@ main(int argc, char **argv)
 
     // TENOC_SCALE (or a positional number) shortens the run for CI
     // smoke tests; --mesh-sweep [--huge] switches to the 8x8..64x64
-    // (..128x128) scaling sweep; --topology mesh|torus|cmesh changes
-    // the sweep's link structure; --compare FILE gates on a prior
+    // (..128x128) scaling sweep; --compare FILE gates on a prior
     // BENCH_noc_speed.json of the same mode.
     double scale = envScale(1.0);
     bool mesh_sweep = false;
     bool mesh_huge = false;
     std::string compare_path;
-    std::string topology = "mesh";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--mesh-sweep") {
@@ -532,10 +497,12 @@ main(int argc, char **argv)
             g_profile = true;
         } else if (arg == "--huge") {
             mesh_huge = true;
-        } else if (arg == "--topology" && i + 1 < argc) {
-            topology = argv[++i];
         } else if (arg == "--compare" && i + 1 < argc) {
             compare_path = argv[++i];
+        } else if (arg.rfind("--", 0) == 0) {
+            std::fprintf(stderr, "noc_speed: unknown option '%s'\n",
+                         arg.c_str());
+            return 1;
         } else {
             const double v = std::atof(arg.c_str());
             if (v > 0.0)
@@ -543,7 +510,7 @@ main(int argc, char **argv)
         }
     }
     if (mesh_sweep)
-        return runMeshSweep(mesh_huge, scale, compare_path, topology);
+        return runMeshSweep(mesh_huge, scale, compare_path);
     const auto low_cycles =
         static_cast<Cycle>(200000 * scale);
     const auto sat_cycles =

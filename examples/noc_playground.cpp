@@ -39,8 +39,6 @@ modeName(RouteMode m)
       case RouteMode::XY: return "XY";
       case RouteMode::YX: return "YX (header bit set)";
       case RouteMode::TWO_PHASE: return "two-phase (via waypoint)";
-      case RouteMode::TORUS_XY: return "torus XY (dateline)";
-      case RouteMode::TORUS_YX: return "torus YX (dateline)";
     }
     return "?";
 }

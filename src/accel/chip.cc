@@ -23,14 +23,7 @@ namespace tenoc
 class Chip::CorePort : public CoreMemPort
 {
   public:
-    /**
-     * @param slot core slot behind `node` (0 on an unconcentrated
-     *        topology); stamped into each request's tag so MC replies
-     *        demux back to the right core
-     */
-    CorePort(Chip &chip, NodeId node, unsigned slot)
-        : chip_(chip), node_(node), slot_(slot)
-    {}
+    CorePort(Chip &chip, NodeId node) : chip_(chip), node_(node) {}
 
     unsigned
     requestSpace() const override
@@ -59,7 +52,6 @@ class Chip::CorePort : public CoreMemPort
         pkt->op = op;
         pkt->protoClass = 0;
         pkt->addr = line;
-        pkt->tag = slot_; // reply demux key at a concentrated node
         pkt->sizeFlits = chip_.net_->packetFlits(op);
         pkt->sizeBytes = memOpBytes(op);
         const unsigned mc = channelOf(line, chip_.params_.mc.numChannels,
@@ -70,18 +62,13 @@ class Chip::CorePort : public CoreMemPort
 
     Chip &chip_;
     NodeId node_;
-    unsigned slot_;
 };
 
-/** Core-side packet sink: read replies wake waiting warps.  One sink
- *  per compute node; the reply's tag (the requesting slot index, set
- *  by CorePort and echoed by the MC) picks the core behind the node. */
+/** Core-side packet sink: read replies wake waiting warps. */
 class Chip::CoreSink : public PacketSink
 {
   public:
-    explicit CoreSink(std::vector<SimtCore *> slots)
-        : slots_(std::move(slots))
-    {}
+    explicit CoreSink(SimtCore *core) : core_(core) {}
 
     bool
     tryReserve(const Packet &pkt) override
@@ -96,13 +83,11 @@ class Chip::CoreSink : public PacketSink
         (void)now;
         tenoc_assert(pkt->op == MemOp::READ_REPLY,
                      "core received a non-reply packet");
-        tenoc_assert(pkt->tag < slots_.size(), "reply tag ", pkt->tag,
-                     " has no core slot at this node");
-        slots_[pkt->tag]->onReadReply(pkt->addr);
+        core_->onReadReply(pkt->addr);
     }
 
   private:
-    std::vector<SimtCore *> slots_;
+    SimtCore *core_;
 };
 
 Chip::Chip(const ChipParams &params, const KernelProfile &profile,
@@ -136,24 +121,15 @@ Chip::Chip(const ChipParams &params, const KernelProfile &profile,
         ++mc_index;
     }
 
-    // Compute cores: `concentration` core slots share each compute
-    // node.  A slot injects with its index as the packet tag and the
-    // node's single sink demuxes replies by that tag.
+    // Compute cores: one per compute node, core i at computeNodes()[i].
     core_nodes_ = topo.computeNodes();
-    const unsigned conc = topo.concentration();
-    unsigned core_id = 0;
-    for (std::size_t g = 0; g < core_nodes_.size(); ++g) {
-        const NodeId n = core_nodes_[g];
-        std::vector<SimtCore *> slots;
-        for (unsigned k = 0; k < conc; ++k) {
-            ports_.push_back(std::make_unique<CorePort>(*this, n, k));
-            cores_.push_back(std::make_unique<SimtCore>(
-                core_id, params_.core, profile_, *ports_.back(),
-                params_.seed, factory ? factory(core_id) : nullptr));
-            slots.push_back(cores_.back().get());
-            ++core_id;
-        }
-        sinks_.push_back(std::make_unique<CoreSink>(std::move(slots)));
+    for (unsigned i = 0; i < core_nodes_.size(); ++i) {
+        const NodeId n = core_nodes_[i];
+        ports_.push_back(std::make_unique<CorePort>(*this, n));
+        cores_.push_back(std::make_unique<SimtCore>(
+            i, params_.core, profile_, *ports_.back(), params_.seed,
+            factory ? factory(i) : nullptr));
+        sinks_.push_back(std::make_unique<CoreSink>(cores_.back().get()));
         net_->setSink(n, sinks_.back().get());
     }
 

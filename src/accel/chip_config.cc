@@ -167,7 +167,6 @@ chipParamsFromConfig(const Config &cfg)
 {
     static const std::set<std::string> known = {
         "base", "noc.rows", "noc.cols", "noc.mcs", "noc.routing",
-        "noc.topology", "noc.concentration",
         "noc.placement", "noc.halfRouters", "noc.flitBytes",
         "noc.vcsPerClass", "noc.vcDepth", "noc.pipelineDepth",
         "noc.halfPipelineDepth", "noc.mcInjPorts", "noc.mcEjPorts",
@@ -199,18 +198,6 @@ chipParamsFromConfig(const Config &cfg)
         cfg.getUint("noc.mcs", m.topo.numMcs));
     p.mc.numChannels = m.topo.numMcs;
     m.routing = cfg.getString("noc.routing", m.routing);
-    if (cfg.has("noc.topology")) {
-        const std::string tk = cfg.getString("noc.topology");
-        if (tk == "mesh")
-            m.topo.kind = TopoKind::MESH;
-        else if (tk == "torus")
-            m.topo.kind = TopoKind::TORUS;
-        else
-            tenoc_fatal("unknown topology '", tk,
-                        "' (expected 'mesh' or 'torus')");
-    }
-    m.topo.concentration = static_cast<unsigned>(
-        cfg.getUint("noc.concentration", m.topo.concentration));
     if (cfg.has("noc.placement")) {
         const std::string pl = cfg.getString("noc.placement");
         if (pl == "top-bottom")

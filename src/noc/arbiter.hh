@@ -78,7 +78,7 @@ class RoundRobinArbiter
      * O(words) via count-trailing-zeros: lowest set bit at or after
      * the pointer, else lowest set bit overall.  This is the wide
      * companion of grantMask() for requestor counts above 64
-     * (concentrated / high-radix routers); callers must zero any bits
+     * (many VCs or multi-port MC routers); callers must zero any bits
      * at or above size().
      *
      * @param words  request bits, `nwords` words covering size() bits

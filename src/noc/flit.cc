@@ -40,12 +40,6 @@ Packet::routeClass() const
         // Phase 1 is a YX leg to the intermediate router; phase 2 an
         // XY leg to the destination (Sec. IV-B).
         return phase2 ? 0 : 1;
-      case RouteMode::TORUS_XY:
-      case RouteMode::TORUS_YX:
-        // Dateline discipline: class 0 until the packet's current ring
-        // leg crosses its wrap link, class 1 after — wrap links never
-        // carry class 0, which breaks the ring's channel cycle.
-        return dateline ? 1 : 0;
     }
     return 0;
 }
@@ -115,9 +109,6 @@ savePacket(SnapshotWriter &w, const PacketPtr &pkt)
     w.u8(static_cast<std::uint8_t>(p.mode));
     w.u32(p.intermediate);
     w.boolean(p.phase2);
-    w.boolean(p.dateline);
-    w.u8(p.ringDim);
-    w.u64(p.collectiveId);
     w.u64(p.createdCycle);
     w.u64(p.injectedCycle);
     w.u64(p.headEjectedCycle);
@@ -148,9 +139,6 @@ loadPacket(SnapshotReader &r)
     p.mode = static_cast<RouteMode>(r.u8());
     p.intermediate = r.u32();
     p.phase2 = r.boolean();
-    p.dateline = r.boolean();
-    p.ringDim = r.u8();
-    p.collectiveId = r.u64();
     p.createdCycle = r.u64();
     p.injectedCycle = r.u64();
     p.headEjectedCycle = r.u64();

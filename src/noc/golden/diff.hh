@@ -53,11 +53,6 @@ struct DiffConfig
      *  cells + CR routing (the three are only legal together). */
     bool checkerboard = false;
     std::string routing = "xy";
-    /** "mesh" or "torus" (torus requires xy/yx dateline routing and
-     *  excludes the checkerboard organization). */
-    std::string topology = "mesh";
-    /** Terminals per router (concentrated mesh/torus); 1 = classic. */
-    unsigned concentration = 1;
 
     unsigned flitBytes = 16;
     unsigned protoClasses = 2;
@@ -72,10 +67,6 @@ struct DiffConfig
     bool sliced = false;
 
     double rate = 0.02;     ///< per-node packet generation probability
-    /** Per-compute-node probability of drawing a collective: a class-0
-     *  multicast forked to a random prefix of the MC nodes (0 = no
-     *  collective traffic; requires numMcs >= 2). */
-    double collectiveRate = 0.0;
     Cycle genCycles = 500;  ///< traffic generation window
     std::uint64_t seed = 1;
 

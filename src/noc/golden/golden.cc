@@ -49,42 +49,6 @@ GoldenModel::appendDorLeg(NodeId from, NodeId to, bool x_first,
 }
 
 void
-GoldenModel::appendTorusLeg(NodeId from, NodeId to, bool x_first,
-                            std::vector<NodeId> &out) const
-{
-    unsigned cx = topo_.xOf(from);
-    unsigned cy = topo_.yOf(from);
-    const unsigned tx = topo_.xOf(to);
-    const unsigned ty = topo_.yOf(to);
-    const unsigned cols = topo_.cols();
-    const unsigned rows = topo_.rows();
-
-    auto walk_x = [&]() {
-        while (cx != tx) {
-            const Direction d =
-                TorusRouting::ringDirection(cx, tx, cols, true);
-            cx = d == DIR_EAST ? (cx + 1) % cols : (cx + cols - 1) % cols;
-            out.push_back(topo_.nodeAt(cx, cy));
-        }
-    };
-    auto walk_y = [&]() {
-        while (cy != ty) {
-            const Direction d =
-                TorusRouting::ringDirection(cy, ty, rows, false);
-            cy = d == DIR_SOUTH ? (cy + 1) % rows : (cy + rows - 1) % rows;
-            out.push_back(topo_.nodeAt(cx, cy));
-        }
-    };
-    if (x_first) {
-        walk_x();
-        walk_y();
-    } else {
-        walk_y();
-        walk_x();
-    }
-}
-
-void
 GoldenModel::reconstructRoute(const Packet &pkt,
                               std::vector<NodeId> &out) const
 {
@@ -106,12 +70,6 @@ GoldenModel::reconstructRoute(const Packet &pkt,
         appendDorLeg(pkt.intermediate, pkt.dst, true, out);
         break;
       }
-      case RouteMode::TORUS_XY:
-        appendTorusLeg(pkt.src, pkt.dst, true, out);
-        break;
-      case RouteMode::TORUS_YX:
-        appendTorusLeg(pkt.src, pkt.dst, false, out);
-        break;
     }
 }
 
@@ -150,21 +108,14 @@ GoldenModel::checkRoute(const Packet &pkt,
     }
 
     for (std::size_t i = 1; i < route.size(); ++i) {
-        unsigned dx = topo_.xOf(route[i]) > topo_.xOf(route[i - 1])
+        const unsigned dx = topo_.xOf(route[i]) > topo_.xOf(route[i - 1])
             ? topo_.xOf(route[i]) - topo_.xOf(route[i - 1])
             : topo_.xOf(route[i - 1]) - topo_.xOf(route[i]);
-        unsigned dy = topo_.yOf(route[i]) > topo_.yOf(route[i - 1])
+        const unsigned dy = topo_.yOf(route[i]) > topo_.yOf(route[i - 1])
             ? topo_.yOf(route[i]) - topo_.yOf(route[i - 1])
             : topo_.yOf(route[i - 1]) - topo_.yOf(route[i]);
-        if (topo_.isTorus()) {
-            // A wrap link connects coordinates dim-1 apart; fold the
-            // ring distance so wrap hops count as one step.
-            dx = std::min(dx, topo_.cols() - dx);
-            dy = std::min(dy, topo_.rows() - dy);
-        }
         if (dx + dy != 1) {
-            fail("hop " + std::to_string(i) + " is not " +
-                 (topo_.isTorus() ? "torus" : "mesh") + "-adjacent");
+            fail("hop " + std::to_string(i) + " is not mesh-adjacent");
             return;
         }
     }

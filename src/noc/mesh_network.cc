@@ -197,10 +197,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     std::size_t in_vcs = 0;
     std::size_t out_vcs = 0;
     const unsigned vcs = vc_map_.numVcs();
-    // Concentration multiplies endpoint ports: a router fronts
-    // `concentration` terminals, each with its own inj/ej port pair
-    // (MC terminals additionally scale by the multi-port MC counts).
-    const unsigned conc = topo_.concentration();
     for (NodeId n = 0; n < topo_.numNodes(); ++n) {
         Router::Params rp;
         rp.vcMap = vc_map_;
@@ -209,12 +205,14 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
         rp.half = topo_.isHalfRouter(n);
         rp.pipelineDepth =
             rp.half ? params_.halfPipelineDepth : params_.pipelineDepth;
+        // Multi-port MCs (Fig. 19) widen only the MC routers' local
+        // ports; compute routers keep one injection/ejection pair.
         if (topo_.isMc(n)) {
-            rp.numInjPorts = conc * params_.mcInjPorts;
-            rp.numEjPorts = conc * params_.mcEjPorts;
+            rp.numInjPorts = params_.mcInjPorts;
+            rp.numEjPorts = params_.mcEjPorts;
         } else {
-            rp.numInjPorts = conc;
-            rp.numEjPorts = conc;
+            rp.numInjPorts = 1;
+            rp.numEjPorts = 1;
         }
         in_vcs += (NUM_DIRS + rp.numInjPorts) * vcs;
         out_vcs += (NUM_DIRS + rp.numEjPorts) * vcs;
@@ -823,44 +821,6 @@ Network::restore(SnapshotReader &r)
                 "kind");
 }
 
-bool
-Network::injectMulticast(const std::vector<NodeId> &dsts,
-                         const Packet &proto, Cycle now,
-                         std::vector<const Packet *> *forked)
-{
-    tenoc_assert(!dsts.empty(), "multicast needs >= 1 destination");
-    // All-or-nothing gate.  Every fork shares src and protoClass, so
-    // one space query covers the whole burst — including on a sliced
-    // DoubleNetwork, where the class picks the slice.
-    if (injectSpace(proto.src, proto.protoClass) < dsts.size())
-        return false;
-    for (NodeId dst : dsts) {
-        PacketPtr p = makePacket();
-        p->src = proto.src;
-        p->dst = dst;
-        p->op = proto.op;
-        p->sizeFlits = proto.sizeFlits;
-        p->sizeBytes = proto.sizeBytes;
-        p->protoClass = proto.protoClass;
-        p->addr = proto.addr;
-        p->tag = proto.tag;
-        p->collectiveId = proto.collectiveId;
-        // Stamp all forks with one creation time so their latency
-        // samples measure the same collective issue point.
-        p->createdCycle =
-            proto.createdCycle != INVALID_CYCLE ? proto.createdCycle
-                                                : now;
-        Packet *raw = p.get();
-        inject(std::move(p), now);
-        // Borrowed, not owned: the fork stays alive inside the network
-        // until delivery, and callers registering with a shadow model
-        // read it before the next cycle() call.
-        if (forked)
-            forked->push_back(raw);
-    }
-    return true;
-}
-
 void
 NetStats::save(SnapshotWriter &w) const
 {
@@ -914,8 +874,6 @@ MeshNetwork::save(SnapshotWriter &w) const
     // differently shaped network with a clear message instead of a
     // byte-offset panic deep inside a component.
     w.u32(topo_.numNodes());
-    w.u32(static_cast<std::uint32_t>(params_.topo.kind));
-    w.u32(topo_.concentration());
     w.u32(params_.flitBytes);
     w.u32(params_.protoClasses);
     w.u32(params_.vcsPerClass);
@@ -994,9 +952,6 @@ MeshNetwork::restore(SnapshotReader &r)
                         " in this network");
     };
     expect(r.u32(), topo_.numNodes(), "node count");
-    expect(r.u32(), static_cast<std::uint32_t>(params_.topo.kind),
-           "topology kind");
-    expect(r.u32(), topo_.concentration(), "concentration");
     expect(r.u32(), params_.flitBytes, "flit width");
     expect(r.u32(), params_.protoClasses, "protocol classes");
     expect(r.u32(), params_.vcsPerClass, "VCs per class");

@@ -13,7 +13,6 @@
 #define TENOC_NOC_TRAFFIC_HH
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -152,119 +151,6 @@ class CollectorSink : public PacketSink
   private:
     Accumulator &latency_;
     OpenLoopMeasure *measure_;
-};
-
-/**
- * Deterministic nonzero collective id for the `seq`-th collective
- * rooted at `root`.  Roots get disjoint id spaces, so concurrent
- * collectives from different roots never alias at a merge sink.
- */
-inline std::uint64_t
-collectiveIdFor(NodeId root, std::uint64_t seq)
-{
-    return ((static_cast<std::uint64_t>(root) + 1) << 40) | (seq + 1);
-}
-
-/**
- * Collective issuer: a Bernoulli process whose draws are multicasts —
- * each issue forks one copy of the payload to every node in `dsts`
- * via Network::injectMulticast (source-side forking; the NoC carries
- * ordinary unicasts).  Draws that cannot inject atomically queue and
- * retry, so offered collective load can exceed acceptance.
- */
-class CollectiveSource
-{
-  public:
-    /**
-     * @param node  root (source) node
-     * @param rate  collectives per cycle in [0,1]
-     * @param flits fork payload length in flits
-     * @param dsts  multicast membership (each fork's destination)
-     */
-    CollectiveSource(NodeId node, double rate, unsigned flits,
-                     std::vector<NodeId> dsts, Network &net, Rng &rng);
-
-    /** Draws and issues collectives; call once per interconnect cycle. */
-    void cycle(Cycle now, bool measuring);
-
-    std::uint64_t issued() const { return issued_; }
-    std::size_t queueDepth() const { return queue_.size(); }
-
-  private:
-    struct Pending
-    {
-        Cycle created;
-        bool measuring;
-    };
-
-    NodeId node_;
-    double rate_;
-    unsigned flits_;
-    std::vector<NodeId> dsts_;
-    Network &net_;
-    Rng &rng_;
-    std::deque<Pending> queue_;
-    std::uint64_t next_seq_ = 0;
-    std::uint64_t issued_ = 0;
-};
-
-/**
- * Leaf-side collective sink: answers each received fork with a 1-deep
- * queued contribution back to the fork's root, carrying the same
- * collectiveId and the *original* creation cycle — so the root's merge
- * sink measures full broadcast -> reduce round latency.
- */
-class CollectiveEchoSink : public PacketSink
-{
-  public:
-    CollectiveEchoSink(NodeId node, unsigned reply_flits, Network &net);
-
-    bool tryReserve(const Packet &pkt) override;
-    void deliver(PacketPtr pkt, Cycle now) override;
-
-    /** Injects pending contributions; call once per cycle. */
-    void cycle(Cycle now);
-
-    bool idle() const { return contributions_.empty(); }
-
-  private:
-    NodeId node_;
-    unsigned reply_flits_;
-    Network &net_;
-    std::deque<PacketPtr> contributions_;
-};
-
-/**
- * Root-side reduction merge: counts per-collectiveId arrivals and
- * declares the collective complete when all `fanout` contributions
- * landed, sampling completion latency (last arrival relative to the
- * collective's creation cycle) for measurement-tagged rounds.
- */
-class ReductionSink : public PacketSink
-{
-  public:
-    /**
-     * @param fanout contributions per collective (the multicast
-     *        membership size at the issuing root)
-     */
-    ReductionSink(unsigned fanout, Accumulator &latency,
-                  OpenLoopMeasure *measure = nullptr);
-
-    bool tryReserve(const Packet &pkt) override;
-    void deliver(PacketPtr pkt, Cycle now) override;
-
-    /** Collectives fully merged so far. */
-    std::uint64_t merged() const { return merged_; }
-
-    /** Collectives with some but not all contributions arrived. */
-    std::size_t partial() const { return partial_.size(); }
-
-  private:
-    unsigned fanout_;
-    Accumulator &latency_;
-    OpenLoopMeasure *measure_;
-    std::unordered_map<std::uint64_t, unsigned> partial_;
-    std::uint64_t merged_ = 0;
 };
 
 } // namespace tenoc

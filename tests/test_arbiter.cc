@@ -87,7 +87,7 @@ TEST(Arbiter, ResizeResetsOutOfRangePointer)
 TEST(Arbiter, GrantWordsFindsRequestorAbove64)
 {
     // Regression: the single-word mask path silently dropped
-    // requestors 64 and above (concentrated / high-radix routers);
+    // requestors 64 and above (many VCs or multi-port MC routers);
     // the multi-word scan must see them.
     RoundRobinArbiter arb(70);
     std::vector<bool> requests(70, false);

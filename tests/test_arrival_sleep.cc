@@ -12,7 +12,7 @@
  *    fired and will never fire again);
  *  - whole-network equivalence: with MeshNetworkParams::arrivalSleep
  *    on and off every statistic of a run must be identical, across
- *    idle-skip, channel slicing, torus wrap links and link-stall
+ *    idle-skip, channel slicing, long channels and link-stall
  *    fault injection; TENOC_ARRIVAL_SLEEP overrides the setting only
  *    when it is exactly 0 or 1.
  */
@@ -315,15 +315,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::uint64_t>(3, 77),
                        ::testing::Bool(), ::testing::Bool()),
     arrivalCaseName);
-
-TEST(ArrivalSleepEquivalence, TorusWrapLinks)
-{
-    // Wrap channels give distant node pairs one-hop links; their
-    // arrival wakes must land on the right routers.
-    MeshNetworkParams p = baseParams(9);
-    p.topo.kind = TopoKind::TORUS;
-    expectArrivalSleepInvariant(p, false, 9);
-}
 
 TEST(ArrivalSleepEquivalence, LongChannelLatency)
 {

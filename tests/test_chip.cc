@@ -8,7 +8,6 @@
 
 #include <array>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "accel/chip.hh"
@@ -104,38 +103,15 @@ TEST(Chip, DoubleNetworkRunsCleanly)
     EXPECT_GT(r.ipc, 1.0);
 }
 
-/** Closed-loop topology matrix: {mesh, torus} x concentration {1, 2},
- *  with the runtime invariant checker armed. */
-class ChipTopology
-    : public ::testing::TestWithParam<std::tuple<TopoKind, unsigned>>
-{};
-
-TEST_P(ChipTopology, RunsCleanly)
+TEST(Chip, BaselineRunsCleanlyUnderValidation)
 {
-    const auto [kind, conc] = GetParam();
+    // The closed loop with the runtime invariant checker armed.
     auto p = makeConfig(ConfigId::BASELINE_TB_DOR);
-    p.mesh.topo.kind = kind;
-    p.mesh.topo.concentration = conc;
     p.mesh.validate = true;
     const auto r = runWorkload(p, quick("KM", 0.12));
     EXPECT_FALSE(r.timedOut);
     EXPECT_GT(r.ipc, 1.0);
 }
-
-std::string
-topologyCaseName(
-    const ::testing::TestParamInfo<std::tuple<TopoKind, unsigned>> &info)
-{
-    const auto [kind, conc] = info.param;
-    return std::string(kind == TopoKind::TORUS ? "torus" : "mesh") +
-           "_c" + std::to_string(conc);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Topologies, ChipTopology,
-    ::testing::Combine(::testing::Values(TopoKind::MESH, TopoKind::TORUS),
-                       ::testing::Values(1u, 2u)),
-    topologyCaseName);
 
 TEST(Chip, McInjectionRatioIsManyToFewSkewed)
 {

@@ -93,6 +93,17 @@ TEST(ConfigLoaderDeath, UnknownKeyIsFatal)
     cfg.set("noc.flitbytes", 32); // wrong capitalization
     EXPECT_EXIT(chipParamsFromConfig(cfg),
                 ::testing::ExitedWithCode(1), "unknown configuration");
+
+    // The network is the paper's mesh only: the retired topology keys
+    // fail instead of quietly running a mesh.
+    Config topo;
+    topo.set("noc.topology", "mesh");
+    EXPECT_EXIT(chipParamsFromConfig(topo),
+                ::testing::ExitedWithCode(1), "unknown configuration");
+    Config conc;
+    conc.set("noc.concentration", 1);
+    EXPECT_EXIT(chipParamsFromConfig(conc),
+                ::testing::ExitedWithCode(1), "unknown configuration");
 }
 
 TEST(ConfigLoaderDeath, UnknownBaseIsFatal)

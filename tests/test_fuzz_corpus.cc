@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "noc/golden/diff.hh"
+#include "noc/mesh_network.hh"
 
 #ifndef TENOC_CORPUS_DIR
 #error "TENOC_CORPUS_DIR must point at tests/corpus"
@@ -38,26 +40,47 @@ corpusFiles()
     return files;
 }
 
+/** Reads and parses one corpus file (fails the test on error). */
+DiffConfig
+loadCorpusFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in) << "unreadable corpus file " << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    DiffConfig cfg;
+    std::string err;
+    EXPECT_TRUE(DiffConfig::parse(text.str(), cfg, &err)) << err;
+    return cfg;
+}
+
 TEST(FuzzCorpus, HasSeedEntries)
 {
     // The corpus is never empty: the burn-down checked in one repro
     // per bug the fuzzer surfaced.
     EXPECT_GE(corpusFiles().size(), 3u);
+
+    // One directed entry keeps routers with more than 64 (input, VC)
+    // requestors, i.e. the multi-word switch allocator, under the
+    // oracle battery.
+    const DiffConfig cfg = loadCorpusFile(
+        std::filesystem::path(TENOC_CORPUS_DIR) / "wide_router_cr.cfg");
+    MeshNetwork net(cfg.toNetParams());
+    unsigned widest = 0;
+    for (NodeId n = 0; n < net.topology().numNodes(); ++n) {
+        const Router &r = net.router(n);
+        widest = std::max(widest, r.numInputs() * r.numVcs());
+    }
+    EXPECT_GT(widest, 64u);
 }
 
 TEST(FuzzCorpus, EveryReproReplaysClean)
 {
     for (const auto &path : corpusFiles()) {
         SCOPED_TRACE(path.filename().string());
-
-        std::ifstream in(path);
-        ASSERT_TRUE(in) << "unreadable corpus file";
-        std::ostringstream text;
-        text << in.rdbuf();
-
-        DiffConfig cfg;
-        std::string err;
-        ASSERT_TRUE(DiffConfig::parse(text.str(), cfg, &err)) << err;
+        const DiffConfig cfg = loadCorpusFile(path);
+        if (::testing::Test::HasFailure())
+            return;
 
         const DiffReport rep = runDiff(cfg);
         EXPECT_TRUE(rep.ok())

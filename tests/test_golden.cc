@@ -321,61 +321,6 @@ TEST(DiffHarness, SlicedConfigPasses)
                           << rep.violations.front();
 }
 
-TEST(DiffHarness, TorusConfigPasses)
-{
-    // Full battery on the wrap topology: routing sweep + zero-load
-    // against the torus golden legs, shadow run, determinism, toggles.
-    DiffConfig cfg;
-    cfg.topology = "torus";
-    cfg.routing = "yx";
-    cfg.genCycles = 300;
-    const DiffReport rep = runDiff(cfg);
-    EXPECT_TRUE(rep.ok()) << rep.violations.size()
-                          << " violations, first: "
-                          << rep.violations.front();
-}
-
-TEST(DiffHarness, ConcentratedCollectiveConfigPasses)
-{
-    // Concentration widens the endpoint ports; collective traffic
-    // adds shared-id fork groups to the schedule.  Both must preserve
-    // every oracle, including sliced equivalence.
-    DiffConfig cfg;
-    cfg.concentration = 2;
-    cfg.collectiveRate = 0.01;
-    cfg.sliced = true;
-    cfg.genCycles = 300;
-    const DiffReport rep = runDiff(cfg);
-    EXPECT_TRUE(rep.ok()) << rep.violations.size()
-                          << " violations, first: "
-                          << rep.violations.front();
-}
-
-TEST(DiffConfig, LegalityRulesForNewAxes)
-{
-    DiffConfig cfg;
-    EXPECT_TRUE(legalDiffConfig(cfg));
-    cfg.topology = "hypercube";
-    EXPECT_FALSE(legalDiffConfig(cfg));
-    cfg.topology = "torus";
-    EXPECT_TRUE(legalDiffConfig(cfg));
-    cfg.routing = "o1turn"; // no dateline classes off dimension order
-    EXPECT_FALSE(legalDiffConfig(cfg));
-    cfg.routing = "xy";
-    cfg.concentration = 0;
-    EXPECT_FALSE(legalDiffConfig(cfg));
-    cfg.concentration = 5; // fuzz cap
-    EXPECT_FALSE(legalDiffConfig(cfg));
-    cfg.concentration = 4;
-    EXPECT_TRUE(legalDiffConfig(cfg));
-    cfg.collectiveRate = 1.5;
-    EXPECT_FALSE(legalDiffConfig(cfg));
-    cfg.collectiveRate = 0.01;
-    EXPECT_TRUE(legalDiffConfig(cfg));
-    cfg.numMcs = 1; // collective fanout needs >= 2 members
-    EXPECT_FALSE(legalDiffConfig(cfg));
-}
-
 TEST(DiffHarness, RejectsIllegalConfig)
 {
     DiffConfig cfg;

@@ -12,7 +12,6 @@
 
 #include "common/rng.hh"
 #include "noc/mesh_network.hh"
-#include "noc/traffic.hh"
 
 namespace tenoc
 {
@@ -286,127 +285,6 @@ TEST(MeshNetwork, AgePriorityIsDeterministicAndDelivers)
         return net.stats().netLatency.mean();
     };
     EXPECT_DOUBLE_EQ(run_once(), run_once());
-}
-
-TEST(MeshNetwork, InjectMulticastIsAllOrNothing)
-{
-    MeshNetwork net(baseNet());
-    const auto &topo = net.topology();
-    Collector sink;
-    for (NodeId n = 0; n < topo.numNodes(); ++n)
-        net.setSink(n, &sink);
-
-    const NodeId src = topo.nodeAt(0, 0);
-    const std::vector<NodeId> dsts = {
-        topo.nodeAt(3, 0), topo.nodeAt(0, 3), topo.nodeAt(2, 2)};
-
-    // Leave only 2 free slots in the class-0 injection queue: a 3-way
-    // multicast must refuse outright rather than fork partially.
-    const unsigned cap = net.injectSpace(src, 0);
-    ASSERT_GE(cap, 3u);
-    for (unsigned i = 0; i + 2 < cap; ++i) {
-        net.inject(makePkt(net, src, topo.nodeAt(5, 5),
-                           MemOp::READ_REQUEST, 0), 0);
-    }
-
-    Packet proto;
-    proto.src = src;
-    proto.op = MemOp::READ_REQUEST;
-    proto.protoClass = 0;
-    proto.sizeFlits = net.packetFlits(MemOp::READ_REQUEST);
-    proto.sizeBytes = memOpBytes(MemOp::READ_REQUEST);
-    proto.collectiveId = collectiveIdFor(src, 0);
-
-    ASSERT_EQ(net.injectSpace(src, 0), 2u);
-    EXPECT_FALSE(net.injectMulticast(dsts, proto, 0));
-    // No partial fork consumed any of the remaining slots.
-    EXPECT_EQ(net.injectSpace(src, 0), 2u);
-
-    // After draining, the identical multicast goes through whole: one
-    // fork per destination, all stamped with the shared collective id.
-    for (Cycle t = 0; t < 300; ++t)
-        net.cycle(t);
-    ASSERT_TRUE(net.drained());
-
-    std::vector<const Packet *> forked;
-    EXPECT_TRUE(net.injectMulticast(dsts, proto, 300, &forked));
-    ASSERT_EQ(forked.size(), dsts.size());
-    for (std::size_t i = 0; i < forked.size(); ++i) {
-        EXPECT_EQ(forked[i]->src, src);
-        EXPECT_EQ(forked[i]->dst, dsts[i]);
-        EXPECT_EQ(forked[i]->collectiveId, proto.collectiveId);
-    }
-
-    for (Cycle t = 300; t < 600; ++t)
-        net.cycle(t);
-    EXPECT_TRUE(net.drained());
-    // Conservation: every pre-fill packet and every fork ejected.
-    EXPECT_EQ(net.stats().packetsInjected, cap - 2 + dsts.size());
-    EXPECT_EQ(net.stats().packetsEjected, cap - 2 + dsts.size());
-}
-
-TEST(MeshNetwork, CollectiveRoundTripMergesAtRoot)
-{
-    // Broadcast -> reduce round trip: a root multicasts to four
-    // leaves, each leaf echoes one contribution, and the root's merge
-    // sink must complete exactly one reduction per issued collective.
-    MeshNetwork net(baseNet());
-    const auto &topo = net.topology();
-    const NodeId root = topo.nodeAt(2, 2);
-    const std::vector<NodeId> dsts = {
-        topo.nodeAt(0, 0), topo.nodeAt(5, 0),
-        topo.nodeAt(0, 5), topo.nodeAt(5, 5)};
-
-    Rng rng(123);
-    CollectiveSource source(root, 0.05, 1, dsts, net, rng);
-    std::vector<std::unique_ptr<CollectiveEchoSink>> leaves;
-    for (NodeId d : dsts) {
-        leaves.push_back(
-            std::make_unique<CollectiveEchoSink>(d, 1, net));
-        net.setSink(d, leaves.back().get());
-    }
-    Accumulator latency;
-    ReductionSink merge(static_cast<unsigned>(dsts.size()), latency);
-    net.setSink(root, &merge);
-
-    Cycle t = 0;
-    for (; t < 400; ++t) {
-        source.cycle(t, true);
-        for (auto &leaf : leaves)
-            leaf->cycle(t);
-        net.cycle(t);
-    }
-    // Flush stragglers still queued at the source (new low-rate draws
-    // drain in the same call), then let the echoes finish.
-    while (source.queueDepth() > 0 && t < 2000) {
-        source.cycle(t, false);
-        for (auto &leaf : leaves)
-            leaf->cycle(t);
-        net.cycle(t);
-        ++t;
-    }
-    ASSERT_EQ(source.queueDepth(), 0u);
-    for (; t < 3000; ++t) {
-        for (auto &leaf : leaves)
-            leaf->cycle(t);
-        net.cycle(t);
-        if (net.drained() &&
-            std::all_of(leaves.begin(), leaves.end(),
-                        [](const auto &l) { return l->idle(); })) {
-            break;
-        }
-    }
-
-    ASSERT_GT(source.issued(), 0u);
-    EXPECT_EQ(merge.merged(), source.issued());
-    EXPECT_EQ(merge.partial(), 0u);
-    EXPECT_TRUE(net.drained());
-    // Conservation through fork and merge: every collective moved
-    // fanout forks out and fanout contributions back.
-    const std::uint64_t fanout = dsts.size();
-    EXPECT_EQ(net.stats().packetsEjected,
-              2 * fanout * source.issued());
-    EXPECT_EQ(net.stats().flitsInjected, net.stats().flitsEjected);
 }
 
 TEST(MakeMeshNetwork, FactorySelectsKind)

@@ -486,102 +486,5 @@ TEST(MakeRoutingDeath, UnknownNameIsFatal)
                 "unknown routing");
 }
 
-Topology
-torusTopo(unsigned rows = 6, unsigned cols = 6, unsigned mcs = 8)
-{
-    TopologyParams p;
-    p.rows = rows;
-    p.cols = cols;
-    p.numMcs = mcs;
-    p.kind = TopoKind::TORUS;
-    return Topology(p);
-}
-
-TEST(TorusRouting, FactorySelectsDatelineRouting)
-{
-    Topology t = torusTopo();
-    EXPECT_STREQ(makeRouting("xy", t)->name(), "TORUS_XY");
-    EXPECT_STREQ(makeRouting("yx", t)->name(), "TORUS_YX");
-    // Two route classes: before and after the dateline crossing.
-    EXPECT_EQ(makeRouting("xy", t)->numRouteClasses(), 2u);
-}
-
-TEST(TorusRouting, RingDirectionTakesShortWayAndBreaksTiesPositive)
-{
-    // Shorter way around wins...
-    EXPECT_EQ(TorusRouting::ringDirection(1, 5, 6, true), DIR_WEST);
-    EXPECT_EQ(TorusRouting::ringDirection(5, 1, 6, true), DIR_EAST);
-    EXPECT_EQ(TorusRouting::ringDirection(0, 1, 6, false), DIR_SOUTH);
-    // ...and an exact half-ring tie prefers the positive direction in
-    // both orders (the golden model replicates this tie-break).
-    EXPECT_EQ(TorusRouting::ringDirection(0, 3, 6, true), DIR_EAST);
-    EXPECT_EQ(TorusRouting::ringDirection(3, 0, 6, true), DIR_EAST);
-}
-
-TEST(TorusRouting, WrapHopCrossesDateline)
-{
-    Topology t = torusTopo();
-    auto algo = makeRouting("xy", t);
-    Rng rng(7);
-
-    Packet pkt;
-    pkt.src = t.nodeAt(0, 2);
-    pkt.dst = t.nodeAt(5, 2);
-    algo->initPacket(pkt, rng);
-    EXPECT_FALSE(pkt.dateline);
-    EXPECT_EQ(pkt.routeClass(), 0);
-
-    // One hop west across the wrap link: the dateline bit flips so
-    // the wrap link is only ever occupied by class-1 packets (the
-    // cycle on each ring is cut -> no credit-dependency deadlock).
-    EXPECT_EQ(algo->route(pkt.src, pkt), DIR_WEST);
-    EXPECT_TRUE(pkt.dateline);
-    EXPECT_EQ(pkt.routeClass(), 1);
-    EXPECT_EQ(algo->route(pkt.dst, pkt), PORT_EJECT);
-}
-
-TEST(TorusRouting, DatelineResetsOnDimensionSwitch)
-{
-    Topology t = torusTopo();
-    auto algo = makeRouting("xy", t);
-    Rng rng(7);
-
-    Packet pkt;
-    pkt.src = t.nodeAt(0, 0);
-    pkt.dst = t.nodeAt(5, 5);
-    algo->initPacket(pkt, rng);
-
-    // X leg: wrap west, dateline set.
-    EXPECT_EQ(algo->route(t.nodeAt(0, 0), pkt), DIR_WEST);
-    EXPECT_TRUE(pkt.dateline);
-
-    // Y leg: the dimension switch re-arms the dateline (each ring has
-    // its own cut), then the northward wrap sets it again.
-    EXPECT_EQ(algo->route(t.nodeAt(5, 0), pkt), DIR_NORTH);
-    EXPECT_TRUE(pkt.dateline);
-    EXPECT_EQ(algo->route(t.nodeAt(5, 5), pkt), PORT_EJECT);
-}
-
-TEST(TorusRouting, AllPairsMinimalEvenAndOddRings)
-{
-    // DOR on a torus is minimal with wrap-folded distance; odd sizes
-    // exercise the no-tie paths, even sizes the tie-break.
-    for (const unsigned size : {5u, 6u}) {
-        Topology t = torusTopo(size, size, 4);
-        auto algo = makeRouting("yx", t);
-        Rng rng(11);
-        for (NodeId s = 0; s < t.numNodes(); ++s) {
-            for (NodeId d = 0; d < t.numNodes(); ++d) {
-                if (s == d)
-                    continue;
-                const auto res = walk(t, *algo, s, d, rng);
-                ASSERT_TRUE(res.arrived) << s << "->" << d;
-                ASSERT_EQ(res.hops, t.hopDistance(s, d))
-                    << s << "->" << d;
-            }
-        }
-    }
-}
-
 } // namespace
 } // namespace tenoc

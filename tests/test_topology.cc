@@ -78,63 +78,6 @@ TEST(TopologyDeath, DirNameRejectsPortIndices)
                  "non-direction port index");
 }
 
-TEST(Topology, TorusNeighborsWrap)
-{
-    auto p = baseParams();
-    p.kind = TopoKind::TORUS;
-    Topology t(p);
-    EXPECT_TRUE(t.isTorus());
-    // Interior links match the mesh...
-    const NodeId c = t.nodeAt(2, 3);
-    EXPECT_EQ(t.neighbor(c, DIR_EAST), t.nodeAt(3, 3));
-    // ...and edge routers close into rings instead of dead-ending.
-    EXPECT_EQ(t.neighbor(t.nodeAt(0, 0), DIR_WEST), t.nodeAt(5, 0));
-    EXPECT_EQ(t.neighbor(t.nodeAt(0, 0), DIR_NORTH), t.nodeAt(0, 5));
-    EXPECT_EQ(t.neighbor(t.nodeAt(5, 5), DIR_EAST), t.nodeAt(0, 5));
-    EXPECT_EQ(t.neighbor(t.nodeAt(5, 5), DIR_SOUTH), t.nodeAt(5, 0));
-}
-
-TEST(Topology, TorusHopDistanceUsesWrapLinks)
-{
-    auto p = baseParams();
-    p.kind = TopoKind::TORUS;
-    Topology t(p);
-    // Opposite corners are 1+1 hops around the wrap, not 5+5 across.
-    EXPECT_EQ(t.hopDistance(t.nodeAt(0, 0), t.nodeAt(5, 5)), 2u);
-    // Mid-ring pairs fold to min(forward, backward) per dimension.
-    EXPECT_EQ(t.hopDistance(t.nodeAt(0, 2), t.nodeAt(4, 2)), 2u);
-    Topology mesh(baseParams());
-    EXPECT_EQ(mesh.hopDistance(mesh.nodeAt(0, 0), mesh.nodeAt(5, 5)),
-              10u);
-}
-
-TEST(Topology, ConcentrationIsStored)
-{
-    auto p = baseParams();
-    p.concentration = 4;
-    Topology t(p);
-    EXPECT_EQ(t.concentration(), 4u);
-    EXPECT_EQ(t.numNodes(), 36u); // routers, not terminals
-}
-
-TEST(TopologyDeath, ZeroConcentrationIsRejected)
-{
-    auto p = baseParams();
-    p.concentration = 0;
-    EXPECT_EXIT({ Topology t(p); }, ::testing::ExitedWithCode(1),
-                "concentration must be >= 1");
-}
-
-TEST(TopologyDeath, TorusCheckerboardIsRejected)
-{
-    auto p = baseParams();
-    p.kind = TopoKind::TORUS;
-    p.placement = McPlacement::CHECKERBOARD;
-    p.checkerboardRouters = true;
-    EXPECT_EXIT({ Topology t(p); }, ::testing::ExitedWithCode(1),
-                "checkerboard");
-}
-
 TEST(Topology, TopBottomPlacement)
 {
     Topology t(baseParams());
