@@ -5,7 +5,8 @@
  * Every Channel::send already knows the exact delivery cycle
  * (now + latency), so instead of having each receiver poll
  * Channel::receive(now) on every port every cycle, the sender posts a
- * wake into a per-network ArrivalScheduler: a timing wheel of
+ * wake into a per-network ArrivalScheduler, the network's only channel
+ * delivery mechanism: a timing wheel of
  * `arrival mod W` buckets plus one pending-port bitmask word per
  * receiver.  At the start of cycle `now` the network fires bucket
  * `now mod W`, which ORs each matured entry's port bit into its
@@ -15,12 +16,12 @@
  * while items are still in flight toward it — the wheel wakes it on
  * the arrival cycle (see docs/performance.md, "Sleep-until-arrival").
  *
- * Bit-exactness: deferring the active-set mark from send time to
- * arrival time cannot change results because every cycle a component
- * would have been ticked in between is a no-op — receive(now) returns
- * nothing before the arrival cycle, so all pipeline stages early-out
- * — and ticking an idle component never mutates state (the idle-skip
- * argument).  Pending words are pure schedule metadata: they select
+ * Bit-exactness: waking a receiver at arrival time rather than at send
+ * time (or every cycle, as the full-tick scheduler does) cannot change
+ * results because every cycle a component would have been ticked in
+ * between is a no-op — receive(now) returns nothing before the arrival
+ * cycle, so all pipeline stages early-out — and ticking an idle
+ * component never mutates state (the idle-skip argument).  Pending words are pure schedule metadata: they select
  * which ports are scanned, and a port without a matured front entry
  * delivers nothing when scanned, so scanning fewer ports is invisible.
  */
@@ -66,9 +67,6 @@ class ArrivalScheduler
         primed_ = false;
         last_fire_ = 0;
     }
-
-    /** @return true once configure() has run. */
-    bool configured() const { return wake_ != nullptr; }
 
     /**
      * Posts a wake: at cycle `arrival`, OR `bit` into receiver `idx`'s

@@ -216,6 +216,21 @@ struct GenPacket
     Cycle created;
 };
 
+/** Builds the network packet for `g` on channels `flit_bytes` wide. */
+PacketPtr
+toPacket(const GenPacket &g, unsigned flit_bytes)
+{
+    auto pkt = makePacket();
+    pkt->src = g.src;
+    pkt->dst = g.dst;
+    pkt->op = g.protoClass == 0 ? MemOp::READ_REQUEST : MemOp::READ_REPLY;
+    pkt->protoClass = g.protoClass;
+    pkt->sizeFlits = g.sizeFlits;
+    pkt->sizeBytes = g.sizeFlits * flit_bytes;
+    pkt->createdCycle = g.created;
+    return pkt;
+}
+
 /**
  * Deterministic traffic schedule generator: each node owns a derived
  * RNG stream, so the schedule depends only on (cfg, node) — never on
@@ -372,8 +387,6 @@ struct Toggles
     bool idleSkip = true;
     bool validate = false;
     bool poolBypass = false;
-    /** Arrival-scheduled channels (sleep-until-arrival wheel). */
-    bool arrivalSleep = true;
 
     std::string
     describe() const
@@ -384,8 +397,6 @@ struct Toggles
         s += validate ? "1" : "0";
         s += " poolBypass=";
         s += poolBypass ? "1" : "0";
-        s += " arrivalSleep=";
-        s += arrivalSleep ? "1" : "0";
         return s;
     }
 };
@@ -407,7 +418,6 @@ shadowRun(const DiffConfig &cfg, const Toggles &toggles,
     MeshNetworkParams np = cfg.toNetParams();
     np.idleSkip = toggles.idleSkip;
     np.validate = toggles.validate;
-    np.arrivalSleep = toggles.arrivalSleep;
     np.watchdogWindow = DRAIN_CAP / 2;
 
     bool watchdog_fired = false;
@@ -446,16 +456,7 @@ shadowRun(const DiffConfig &cfg, const Toggles &toggles,
             fresh.clear();
             schedule.generate(now, fresh);
             for (const GenPacket &g : fresh) {
-                auto pkt = makePacket();
-                pkt->src = g.src;
-                pkt->dst = g.dst;
-                pkt->op = g.protoClass == 0 ? MemOp::READ_REQUEST
-                                            : MemOp::READ_REPLY;
-                pkt->protoClass = g.protoClass;
-                pkt->sizeFlits = g.sizeFlits;
-                pkt->sizeBytes = g.sizeFlits * net->flitBytes();
-                pkt->createdCycle = g.created;
-                pending[g.src].push_back(std::move(pkt));
+                pending[g.src].push_back(toPacket(g, net->flitBytes()));
                 ++pending_total;
             }
         }
@@ -610,16 +611,8 @@ slicedEquivalenceOracle(const DiffConfig &cfg,
                 fresh.clear();
                 schedule.generate(now, fresh);
                 for (const GenPacket &g : fresh) {
-                    auto pkt = makePacket();
-                    pkt->src = g.src;
-                    pkt->dst = g.dst;
-                    pkt->op = g.protoClass == 0 ? MemOp::READ_REQUEST
-                                                : MemOp::READ_REPLY;
-                    pkt->protoClass = g.protoClass;
-                    pkt->sizeFlits = g.sizeFlits;
-                    pkt->sizeBytes = g.sizeFlits * slice_flit_bytes;
-                    pkt->createdCycle = g.created;
-                    pending[g.src].push_back(std::move(pkt));
+                    pending[g.src].push_back(
+                        toPacket(g, slice_flit_bytes));
                     ++pending_total;
                 }
             }
@@ -677,18 +670,9 @@ slicedEquivalenceOracle(const DiffConfig &cfg,
             fresh.clear();
             schedule.generate(now, fresh);
             for (const GenPacket &g : fresh) {
-                auto pkt = makePacket();
-                pkt->src = g.src;
-                pkt->dst = g.dst;
-                pkt->op = g.protoClass == 0 ? MemOp::READ_REQUEST
-                                            : MemOp::READ_REPLY;
-                pkt->protoClass = g.protoClass;
-                pkt->sizeFlits = g.sizeFlits;
-                pkt->sizeBytes = g.sizeFlits * slice_flit_bytes;
-                pkt->createdCycle = g.created;
                 auto &q = g.protoClass == 0 ? pending_req[g.src]
                                             : pending_rep[g.src];
-                q.push_back(std::move(pkt));
+                q.push_back(toPacket(g, slice_flit_bytes));
                 ++pending_total;
             }
         }
@@ -944,8 +928,8 @@ sampleDiffConfig(Rng &rng)
 
     cfg.flitBytes = rng.nextBool(0.5) ? 8 : 16;
     cfg.protoClasses = 1 + static_cast<unsigned>(rng.nextRange(2));
-    // Up to 4 VCs per class puts some routers past one 64-bit SA
-    // request word (switchAllocateWide).
+    // Up to 4 VCs per class puts some routers past one 64-bit word
+    // of input VCs (multi-word stage-ready and VA requestor sets).
     cfg.vcsPerClass = 1 + static_cast<unsigned>(rng.nextRange(4));
     cfg.vcDepth = 2 + static_cast<unsigned>(rng.nextRange(7));
     cfg.pipelineDepth = 2 + static_cast<unsigned>(rng.nextRange(4));
@@ -993,18 +977,19 @@ runDiff(const DiffConfig &cfg, const DiffOptions &opts)
                           rep.violations);
     }
 
-    // Oracle 5: idle-skip / validate / pool-bypass / arrival-sleep
-    // invariance.  Full-tick and the arrival wheel both claim
-    // bit-identical results; every fuzzed config re-proves them.
+    // Oracle 5: idle-skip / validate / pool-bypass invariance.
+    // Full-tick and idle-skip both claim bit-identical results; every
+    // fuzzed config re-proves them, and the validated runs audit the
+    // arrival wheel's pending bits along the way.
     std::vector<Toggles> combos;
     if (opts.thorough) {
-        for (int i = 1; i < 16; ++i)
-            combos.push_back(Toggles{(i & 1) != 0, (i & 2) != 0,
-                                     (i & 4) != 0, (i & 8) == 0});
+        // i == 0 is the base run.
+        for (int i = 1; i < 8; ++i)
+            combos.push_back(Toggles{(i & 1) == 0, (i & 2) != 0,
+                                     (i & 4) != 0});
     } else {
-        combos.push_back(Toggles{false, true, true, true});
-        combos.push_back(Toggles{false, true, true, false});
-        combos.push_back(Toggles{true, false, false, false});
+        combos.push_back(Toggles{false, true, true});
+        combos.push_back(Toggles{true, true, false});
     }
     for (const Toggles &t : combos) {
         if (full(rep.violations))

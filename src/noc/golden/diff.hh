@@ -101,7 +101,8 @@ struct DiffReport
 struct DiffOptions
 {
     /** Run all 8 idle-skip x validate x pool-bypass combinations
-     *  instead of baseline + all-flipped (slower, used by tests). */
+     *  instead of baseline, all-flipped and validated idle-skip
+     *  (slower, used by tests). */
     bool thorough = false;
     /** Zero-load single-packet probes per config. */
     unsigned zeroLoadProbes = 32;

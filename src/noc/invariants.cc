@@ -257,7 +257,7 @@ InvariantChecker::checkRouter(const Router &r,
                                  vc, ": ", credits,
                                  " credits exceed bound ", bound));
             }
-            if (bit(r.freeVcWord(o, vc / 64), vc) == r.outputVcOwned(o, vc)) {
+            if (bit(r.freeVcWord(o), vc) == r.outputVcOwned(o, vc)) {
                 addViolation(out, Violation::Kind::STAGE_WORDS,
                              formatMessage(
                                  "router ", r.id(), " output VC (", o,
@@ -419,16 +419,10 @@ InvariantChecker::checkActivity(Cycle now,
 {
     if (router_set_) {
         for (std::size_t n = 0; n < routers_.size(); ++n) {
-            // couldWork() is mode-appropriate: under arrival-scheduled
-            // channels it reports buffered flits or matured pending
-            // bits (a sleeping router with only future in-flight
-            // arrivals is legitimately retired — the wheel wakes it),
-            // under wake-on-send it scans every attached channel.  The
-            // deep matured-arrival scan backstops the wheel itself: a
-            // lost entry leaves a matured flit with no pending bit,
-            // which this check still flags.
-            if ((routers_[n]->couldWork() ||
-                 routers_[n]->hasMaturedArrival(now)) &&
+            // couldWork() reports buffered flits or matured pending
+            // bits; a sleeping router with only future in-flight
+            // arrivals is legitimately retired (the wheel wakes it).
+            if (routers_[n]->couldWork() &&
                 !router_set_->test(static_cast<unsigned>(n))) {
                 addViolation(out, Violation::Kind::ACTIVITY,
                              formatMessage(
@@ -436,6 +430,17 @@ InvariantChecker::checkActivity(Cycle now,
                                  " could work but is retired from the"
                                  " active set (idle-skip would strand"
                                  " its traffic)"));
+            }
+            // The wheel itself: a lost entry leaves a matured item
+            // with no pending bit, which readInputs never drains —
+            // whether or not the router is active.
+            if (const std::uint32_t lost = routers_[n]->lostArrivals(now)) {
+                addViolation(out, Violation::Kind::ACTIVITY,
+                             formatMessage(
+                                 "router ", routers_[n]->id(),
+                                 " has matured arrivals with no pending"
+                                 " bit (port bits ", lost, "; a lost"
+                                 " arrival-wheel entry)"));
             }
         }
     }

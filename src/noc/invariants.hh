@@ -21,8 +21,10 @@
  *    free-VC words equals its recomputation from the VC state;
  *  - buffer occupancy bounds and half-router connectivity compliance;
  *  - idle-skip activity: any component that could make progress is
- *    marked in its active set (a violation here means idle-skip would
- *    silently strand traffic).
+ *    marked in its active set, and every channel item that has
+ *    matured has its port's pending bit set in the receiver's
+ *    arrival word (a violation here means a router would silently
+ *    strand traffic).
  *
  * The checker is wired by MeshNetwork when MeshNetworkParams::validate
  * is set (tests enable it; TENOC_VALIDATE=1 forces it everywhere) and
@@ -64,7 +66,7 @@ struct Violation
         VC_OWNERSHIP,        ///< output-VC owner bookkeeping mismatch
         OCCUPANCY,           ///< buffer over capacity / counter drift
         CONNECTIVITY,        ///< half-router mask / port-range breach
-        ACTIVITY,            ///< workable component not in active set
+        ACTIVITY,            ///< unscheduled work (active set / wheel)
         STAGE_WORDS          ///< stage-ready / free-VC word drift
     };
 

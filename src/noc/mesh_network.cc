@@ -150,9 +150,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     validateMeshNetworkParams(params_);
     if (validateForcedByEnv())
         params_.validate = true;
-    // TENOC_ARRIVAL_SLEEP=0/1 overrides arrivalSleep everywhere.
-    if (const int arr = envSwitch("TENOC_ARRIVAL_SLEEP"); arr >= 0)
-        params_.arrivalSleep = arr != 0;
     if (params_.validate) {
         // Packets are pooled thread-locally; arm double-release
         // detection on this thread's pool (left on afterwards — purely
@@ -180,13 +177,11 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
 
     router_active_.resize(topo_.numNodes());
     ni_active_.resize(topo_.numNodes());
-    if (params_.arrivalSleep) {
-        // All channels share one latency, so the wheel is sized once;
-        // configure before the routers so setArrival can hand each its
-        // scheduler slot ahead of channel wiring.
-        arrival_.configure(topo_.numNodes(), params_.channelLatency,
-                           &router_active_);
-    }
+    // All channels share one latency, so the wheel is sized once;
+    // configure before the routers so setArrival can hand each its
+    // scheduler slot ahead of channel wiring.
+    arrival_.configure(topo_.numNodes(), params_.channelLatency,
+                       &router_active_);
 
     // Routers.  Geometry pre-pass first: per-node parameters decide
     // how many input/output VCs each router contributes, the slab
@@ -231,8 +226,7 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
         in_base += (NUM_DIRS + rp.numInjPorts) * vcs;
         out_base += (NUM_DIRS + rp.numEjPorts) * vcs;
         routers_[n]->setActivity(&router_active_, n);
-        if (params_.arrivalSleep)
-            routers_[n]->setArrival(&arrival_, n);
+        routers_[n]->setArrival(&arrival_, n);
         routers_[n]->setTraversalCounter(&flits_traversed_total_);
         checker_->addRouter(routers_[n].get());
         if (faults_)
@@ -252,12 +246,10 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
                 flit_channels_.emplace_back(params_.channelLatency);
             Channel<Credit> &cc =
                 credit_channels_.emplace_back(params_.channelLatency);
+            // Connecting points each channel at its receiver's wheel
+            // slot: flits travel n -> nb, credits return nb -> n.
             routers_[n]->connectOutput(dir, &fc, &cc);
             routers_[nb]->connectInput(opposite(dir), &fc, &cc);
-            // A send wakes whichever router will eventually receive:
-            // flits travel n -> nb, credits return nb -> n.
-            fc.setWakeTarget(&router_active_, nb);
-            cc.setWakeTarget(&router_active_, n);
             checker_->addLink(routers_[n].get(), d, &fc, &cc,
                               routers_[nb].get(),
                               static_cast<unsigned>(opposite(dir)));
@@ -347,8 +339,7 @@ MeshNetwork::cycle(Cycle now)
     // Deliver this cycle's channel arrivals first: matured wheel
     // entries set their receiver's pending-port bits and mark it
     // active before the phases read the masks.
-    if (arrival_.configured())
-        arrival_.fire(now);
+    arrival_.fire(now);
     // Hoisted fault gate: routerFrozen() is consulted per router tick
     // only while a freeze is actually active; otherwise the fault hook
     // costs this single pointer test per cycle.  A frozen router
@@ -378,10 +369,8 @@ MeshNetwork::cycle(Cycle now)
     lap(&PhaseProfile::injectNs);
     // One compute() per router: its stage-ready words let RC, VA and
     // SA skip VCs they cannot serve, and trace events come out in
-    // per-router RC/VA/SA order.  A router marked mid-pass by a
-    // channel send has its new flit still in flight (>= 1 cycle of
-    // latency), so visiting it is a no-op, as is computing a router
-    // with nothing buffered.
+    // per-router RC/VA/SA order.  Computing a router with nothing
+    // buffered is a no-op.
     router_active_.forEach([&](unsigned n) {
         if (!fe || !fe->routerFrozen(n))
             routers_[n]->compute(now);
@@ -393,11 +382,11 @@ MeshNetwork::cycle(Cycle now)
     });
     lap(&PhaseProfile::drainNs);
     // Retire components that ran dry: a retired router/NI is re-marked
-    // by the event that next gives it work (channel send, injection,
-    // ejection — or, under arrivalSleep, the wheel at the arrival
-    // cycle), never silently forgotten.  A frozen router retires only
-    // if it truly has no work (couldWork covers its buffers and
-    // pending arrivals whether or not it is being ticked).  Full-tick
+    // by the event that next gives it work (injection, ejection, or
+    // the wheel at a channel item's arrival cycle), never silently
+    // forgotten.  A frozen router retires only if it truly has no work
+    // (couldWork covers its buffers and pending arrivals whether or
+    // not it is being ticked).  Full-tick
     // re-marks everything next cycle, so it skips the scan.
     if (params_.idleSkip) {
         router_active_.retireIf(
@@ -903,12 +892,10 @@ MeshNetwork::save(SnapshotWriter &w) const
     // pending words are provably all-zero and the wheel holds only
     // future entries, rebuilt on restore from the channels' recorded
     // arrival cycles.
-    if (arrival_.configured()) {
-        for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-            tenoc_assert(arrival_.pending(n) == 0,
-                         "arrival pending word nonzero at checkpoint"
-                         " (router ", n, ")");
-        }
+    for (NodeId n = 0; n < topo_.numNodes(); ++n) {
+        tenoc_assert(arrival_.pending(n) == 0,
+                     "arrival pending word nonzero at checkpoint"
+                     " (router ", n, ")");
     }
     // The activity masks are saved as idle-skip leaves them at a cycle
     // boundary, holding only components with work, so a full-tick
@@ -1000,14 +987,9 @@ MeshNetwork::restore(SnapshotReader &r)
     // The arrival wheel is derived state: reset it and re-post one
     // wake per restored in-flight item.  The reset wheel is unprimed,
     // so its first fire() does a full sweep — arbitrary resume cycles
-    // are safe.  Without a scheduler the fallback marks the receiver
-    // of every non-empty channel, which also heals a snapshot taken
-    // under arrivalSleep into a wake-on-send network (the saving run's
-    // active words do not cover receivers asleep until an arrival).
-    if (arrival_.configured()) {
-        arrival_.configure(topo_.numNodes(), params_.channelLatency,
-                           &router_active_);
-    }
+    // are safe.
+    arrival_.configure(topo_.numNodes(), params_.channelLatency,
+                       &router_active_);
     for (auto &ch : flit_channels_)
         ch.reschedulePending();
     for (auto &ch : credit_channels_)

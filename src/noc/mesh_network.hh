@@ -52,18 +52,6 @@ struct MeshNetworkParams
      * equivalence regression and the noc_speed benchmark).
      */
     bool idleSkip = true;
-    /**
-     * Arrival-scheduled channel delivery: every Channel::send posts a
-     * wake at its exact delivery cycle into a per-network timing wheel
-     * (noc/arrival.hh) instead of marking the receiver immediately, so
-     * readInputs drains only ports with a matured front entry and a
-     * retired router sleeps until its earliest in-flight arrival.
-     * Bit-exact with mark-on-send — every tick it skips is a no-op
-     * (see docs/performance.md, "Sleep-until-arrival") — so this is on
-     * by default; TENOC_ARRIVAL_SLEEP=0/1 in the environment overrides
-     * it everywhere (equivalence tests cross both settings).
-     */
-    bool arrivalSleep = true;
     NiParams ni;
     std::uint64_t seed = 1;
     /**
@@ -201,6 +189,10 @@ class MeshNetwork : public Network
     /** Test hook: retires router `n` from the active set as if it ran
      *  dry (an idle-skip scheduling bug the checker must detect). */
     void debugRetireRouter(NodeId n) { router_active_.clear(n); }
+    /** Test hook: clears router `n`'s pending-port word, as a lost
+     *  arrival-wheel entry would (a matured channel item then sits
+     *  undrained, which the checker must detect). */
+    void debugDropPending(NodeId n) { arrival_.setPending(n, 0); }
 
     /** Attaches (or detaches, with nullptr) a per-phase wall-time
      *  profile accumulated by every subsequent cycle() call. */
@@ -256,8 +248,9 @@ class MeshNetwork : public Network
     ActiveSet router_active_;
     /** NIs with packets queued/in flight or ejection flits buffered. */
     ActiveSet ni_active_;
-    /** Arrival-cycle wake scheduler for all channels (arrivalSleep);
-     *  unconfigured when the feature is disabled. */
+    /** Arrival-cycle wake scheduler for all channels: every send posts
+     *  a wake at its delivery cycle, so readInputs drains only matured
+     *  ports and a retired router sleeps until its next arrival. */
     ArrivalScheduler arrival_;
     /** Per-phase wall-time accumulator; null unless profiling. */
     PhaseProfile *profile_ = nullptr;

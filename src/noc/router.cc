@@ -50,14 +50,19 @@ void
 Router::initPorts()
 {
     const unsigned vcs = nvcs_;
+    // One word holds an output's free VCs, an input's SA candidates
+    // and an output's SA requestors.
+    if (vcs > 64 || numInputs() > 64) {
+        tenoc_fatal("invalid network config: router ", id_, " has ", vcs,
+                    " VCs per port and ", numInputs(), " inputs; at"
+                    " most 64 of each are supported (lower vcsPerClass,"
+                    " protoClasses or mcInjPorts)");
+    }
     words_ = (numInputs() * vcs + 63) / 64;
-    vc_words_ = (vcs + 63) / 64;
-    in_words_ = (numInputs() + 63) / 64;
     // This router's private stage-ready and free-VC words.
     ready_base_ = VcSlabs::reserveWords(slab_->readyWords,
                                         NUM_READY_SETS * words_);
-    free_base_ = VcSlabs::reserveWords(slab_->freeVcWords,
-                                       numOutputs() * vc_words_);
+    free_base_ = VcSlabs::reserveWords(slab_->freeVcWords, numOutputs());
     rebuildFreeVcs();
     inputs_.reserve(numInputs());
     for (unsigned in = 0; in < numInputs(); ++in) {
@@ -68,13 +73,8 @@ Router::initPorts()
     outputs_.resize(numOutputs());
     in_links_.resize(NUM_DIRS);
     sa_input_arb_.assign(numInputs(), RoundRobinArbiter(vcs));
-    mask_alloc_ = numInputs() * vcs <= 64;
     va_reqs_.resize(numOutputs() * words_);
     sa_out_mask_.resize(numOutputs());
-    if (!mask_alloc_) {
-        sa_vc_words_.resize(vc_words_);
-        sa_out_words_.resize(numOutputs() * in_words_);
-    }
     sa_nominee_.resize(numInputs());
     for (unsigned o = 0; o < numOutputs(); ++o) {
         outputs_[o].vaArb.resize(numInputs() * vcs);
@@ -90,11 +90,11 @@ void
 Router::rebuildFreeVcs()
 {
     for (unsigned o = 0; o < numOutputs(); ++o) {
-        std::uint64_t *free = freeVcs(o);
-        std::fill(free, free + vc_words_, 0);
+        std::uint64_t &free = freeVcs(o);
+        free = 0;
         for (unsigned vc = 0; vc < nvcs_; ++vc) {
             if (!slab_->outOwned[ov(o, vc)])
-                free[vc >> 6] |= std::uint64_t{1} << (vc & 63);
+                free |= std::uint64_t{1} << vc;
         }
     }
 }
@@ -123,21 +123,6 @@ Router::connectInput(Direction d, Channel<Flit> *flit_in,
     if (arrival_sched_ && flit_in)
         flit_in->setArrivalTarget(arrival_sched_, arrival_idx_,
                                   arrivalFlitBit(d));
-}
-
-void
-Router::setArrival(ArrivalScheduler *sched, unsigned idx)
-{
-    arrival_sched_ = sched;
-    arrival_idx_ = idx;
-    for (unsigned d = 0; d < NUM_DIRS; ++d) {
-        if (in_links_[d].flitIn)
-            in_links_[d].flitIn->setArrivalTarget(sched, idx,
-                                                  arrivalFlitBit(d));
-        if (outputs_[d].creditIn)
-            outputs_[d].creditIn->setArrivalTarget(sched, idx,
-                                                   arrivalCreditBit(d));
-    }
 }
 
 unsigned
@@ -173,49 +158,34 @@ Router::connectivityAllows(unsigned in, unsigned out) const
 void
 Router::readInputs(Cycle now)
 {
-    if (arrival_sched_) {
-        // Event-driven drain: only ports whose pending bit fired have
-        // a matured front entry; everything else is guaranteed to
-        // deliver nothing, so skipping the receive() poll is exact.
-        std::uint32_t bits = arrival_sched_->pending(arrival_idx_);
-        if (bits == 0)
-            return;
-        std::uint32_t keep = 0;
-        while (bits) {
-            const auto b =
-                static_cast<unsigned>(std::countr_zero(bits));
-            bits &= bits - 1;
-            if (b < NUM_DIRS) {
-                Channel<Flit> *ch = in_links_[b].flitIn;
-                while (auto f = ch->receive(now))
-                    inputs_[b].push(std::move(*f), now);
-                // A stalled link keeps its matured backlog; the bit
-                // stays pending so the router keeps polling (exactly
-                // the cycles mark-on-send would have kept it awake).
-                if (ch->earliestArrival() <= now)
-                    keep |= arrivalFlitBit(b);
-            } else {
-                const unsigned d = b - NUM_DIRS;
-                Channel<Credit> *ch = outputs_[d].creditIn;
-                while (auto c = ch->receive(now))
-                    ++slab_->outCredits[ov(d, c->vc)];
-                if (ch->earliestArrival() <= now)
-                    keep |= arrivalCreditBit(d);
-            }
-        }
-        arrival_sched_->setPending(arrival_idx_, keep);
+    // Event-driven drain: only ports whose pending bit fired have a
+    // matured front entry; everything else is guaranteed to deliver
+    // nothing, so skipping the receive() poll is exact.
+    std::uint32_t bits = arrival_sched_->pending(arrival_idx_);
+    if (bits == 0)
         return;
-    }
-    for (unsigned d = 0; d < NUM_DIRS; ++d) {
-        if (in_links_[d].flitIn) {
-            while (auto f = in_links_[d].flitIn->receive(now))
-                inputs_[d].push(std::move(*f), now);
-        }
-        if (outputs_[d].creditIn) {
-            while (auto c = outputs_[d].creditIn->receive(now))
+    std::uint32_t keep = 0;
+    while (bits) {
+        const auto b = static_cast<unsigned>(std::countr_zero(bits));
+        bits &= bits - 1;
+        if (b < NUM_DIRS) {
+            Channel<Flit> *ch = in_links_[b].flitIn;
+            while (auto f = ch->receive(now))
+                inputs_[b].push(std::move(*f), now);
+            // A stalled link keeps its matured backlog; the bit stays
+            // pending so the router keeps polling until it clears.
+            if (ch->earliestArrival() <= now)
+                keep |= arrivalFlitBit(b);
+        } else {
+            const unsigned d = b - NUM_DIRS;
+            Channel<Credit> *ch = outputs_[d].creditIn;
+            while (auto c = ch->receive(now))
                 ++slab_->outCredits[ov(d, c->vc)];
+            if (ch->earliestArrival() <= now)
+                keep |= arrivalCreditBit(d);
         }
     }
+    arrival_sched_->setPending(arrival_idx_, keep);
 }
 
 void
@@ -238,26 +208,22 @@ packetAge(const Flit &f)
 }
 
 /**
- * Age-priority pick among the set bits of `words`: the requestor i
- * whose front flit `front_of(i)` belongs to the oldest packet, the
- * lowest i on ties, or `none` without requestors.
+ * Age-priority pick among the set bits of `requests` (nonzero): the
+ * requestor i whose front flit `front_of(i)` belongs to the oldest
+ * packet, the lowest i on ties.
  */
 template <typename FrontOf>
 unsigned
-oldestRequestor(const std::uint64_t *words, unsigned nwords,
-                unsigned none, FrontOf &&front_of)
+oldestRequestor(std::uint64_t requests, FrontOf &&front_of)
 {
-    unsigned win = none;
-    Cycle best = INVALID_CYCLE;
-    for (unsigned w = 0; w < nwords; ++w) {
-        for (std::uint64_t m = words[w]; m != 0; m &= m - 1) {
-            const unsigned i =
-                w * 64 + static_cast<unsigned>(std::countr_zero(m));
-            const Cycle age = packetAge(front_of(i));
-            if (win == none || age < best) {
-                best = age;
-                win = i;
-            }
+    unsigned win = static_cast<unsigned>(std::countr_zero(requests));
+    Cycle best = packetAge(front_of(win));
+    for (std::uint64_t m = requests & (requests - 1); m != 0; m &= m - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(m));
+        const Cycle age = packetAge(front_of(i));
+        if (age < best) {
+            best = age;
+            win = i;
         }
     }
     return win;
@@ -274,19 +240,22 @@ anySet(const std::uint64_t *words, unsigned n)
     return false;
 }
 
-/** Lowest set bit of `words` in [lo, hi), or hi if there is none. */
-unsigned
-firstSetInRange(const std::uint64_t *words, unsigned lo, unsigned hi)
+/** The low `n` bits set (n <= 64). */
+std::uint64_t
+lowBits(unsigned n)
 {
-    while (lo < hi) {
-        const std::uint64_t w = words[lo >> 6] >> (lo & 63);
-        if (w != 0) {
-            return std::min(
-                hi, lo + static_cast<unsigned>(std::countr_zero(w)));
-        }
-        lo = (lo | 63) + 1;
-    }
-    return hi;
+    return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
+/** Bits [lo, lo + n) of a word array as one word (n <= 64). */
+std::uint64_t
+bitsAt(const std::uint64_t *words, unsigned lo, unsigned n)
+{
+    const unsigned s = lo & 63;
+    std::uint64_t bits = words[lo >> 6] >> s;
+    if (s + n > 64)
+        bits |= words[(lo >> 6) + 1] << (64 - s);
+    return bits & lowBits(n);
 }
 
 } // namespace
@@ -348,14 +317,15 @@ Router::grantVc(unsigned o, unsigned idx, Cycle now)
     const unsigned in = idx / nvcs_;
     const unsigned vc = idx % nvcs_;
     const unsigned base = inputs_[in].baseVc(vc);
-    const unsigned end = base + params_.vcMap.vcsPerClass;
-    std::uint64_t *free = freeVcs(o);
-    const unsigned granted = firstSetInRange(free, base, end);
+    std::uint64_t &free = freeVcs(o);
+    const std::uint64_t avail =
+        free & (lowBits(params_.vcMap.vcsPerClass) << base);
     // No eligible VC free: the requestor retries next cycle.  Other
     // requestors may still want different (protocol/routing class) VCs.
-    if (granted == end)
+    if (avail == 0)
         return;
-    free[granted >> 6] &= ~(std::uint64_t{1} << (granted & 63));
+    const auto granted = static_cast<unsigned>(std::countr_zero(avail));
+    free &= ~(std::uint64_t{1} << granted);
     const std::size_t g = ov(o, granted);
     slab_->outOwned[g] = 1;
     slab_->outOwnerIn[g] = in;
@@ -384,13 +354,12 @@ Router::vcAllocate(Cycle now)
     const unsigned n = numInputs() * nvcs_;
     const std::uint32_t *op = slab_->inOutPort.data() + in_base_;
     const std::uint32_t *base = slab_->inBaseVc.data() + in_base_;
-    const unsigned per_class = params_.vcMap.vcsPerClass;
+    const std::uint64_t class_mask = lowBits(params_.vcMap.vcsPerClass);
     for (unsigned w = 0; w < words_; ++w) {
         for (std::uint64_t m = va[w]; m != 0; m &= m - 1) {
             const unsigned i =
                 w * 64 + static_cast<unsigned>(std::countr_zero(m));
-            const unsigned end = base[i] + per_class;
-            if (firstSetInRange(freeVcs(op[i]), base[i], end) != end)
+            if ((freeVcs(op[i]) >> base[i]) & class_mask)
                 va_reqs_[op[i] * words_ + w] |= std::uint64_t{1} << (i & 63);
         }
     }
@@ -448,7 +417,7 @@ Router::traverse(unsigned in, unsigned vc, unsigned o, Cycle now)
     }
     if (tail) {
         slab_->outOwned[ov(o, out_vc)] = 0;
-        freeVcs(o)[out_vc >> 6] |= std::uint64_t{1} << (out_vc & 63);
+        freeVcs(o) |= std::uint64_t{1} << out_vc;
         inputs_[in].setState(vc, VcState::IDLE);
     }
     ++flits_traversed_;
@@ -461,20 +430,22 @@ Router::traverse(unsigned in, unsigned vc, unsigned o, Cycle now)
 void
 Router::switchAllocate(Cycle now)
 {
-    if (!mask_alloc_) {
-        switchAllocateWide(now);
+    const std::uint64_t *sa = ready(SA_READY);
+    // The input stage stops after the port holding the highest
+    // candidate bit.
+    unsigned w = words_;
+    while (w != 0 && sa[w - 1] == 0)
+        --w;
+    if (w == 0)
         return;
-    }
-    std::uint64_t cand = ready(SA_READY)[0];
-    if (cand == 0)
-        return;
+    const unsigned last =
+        w * 64 - 1 - static_cast<unsigned>(std::countl_zero(sa[w - 1]));
     // Input stage: each input port with candidates nominates one ready
-    // VC.  The mask path has >= 5 inputs, so vcs < 64.  The output
-    // stage clears every mask it reads, so they start each call empty.
+    // VC.  The output stage clears every mask it reads, so they start
+    // each call empty.
     const unsigned vcs = nvcs_;
-    const std::uint64_t vc_mask = (std::uint64_t{1} << vcs) - 1;
-    for (unsigned in = 0; cand != 0; ++in, cand >>= vcs) {
-        const std::uint64_t req = cand & vc_mask;
+    for (unsigned in = 0, lo = 0; lo <= last; ++in, lo += vcs) {
+        const std::uint64_t req = bitsAt(sa, lo, vcs);
         if (req == 0)
             continue;
         const InputPort &port = inputs_[in];
@@ -487,7 +458,7 @@ Router::switchAllocate(Cycle now)
         if (eligible == 0)
             continue;
         const unsigned win = params_.agePriority
-            ? oldestRequestor(&eligible, 1, vcs,
+            ? oldestRequestor(eligible,
                               [&](unsigned vc) -> const Flit & {
                                   return port.front(vc);
                               })
@@ -502,65 +473,12 @@ Router::switchAllocate(Cycle now)
             continue;
         sa_out_mask_[o] = 0;
         const unsigned in = params_.agePriority
-            ? oldestRequestor(&reqs, 1, numInputs(),
+            ? oldestRequestor(reqs,
                               [&](unsigned c) -> const Flit & {
                                   return inputs_[c].front(sa_nominee_[c]);
                               })
             : outputs_[o].saArb.grantMask(reqs);
         traverse(in, sa_nominee_[in], o, now);
-    }
-}
-
-void
-Router::switchAllocateWide(Cycle now)
-{
-    const unsigned vcs = nvcs_;
-    const std::uint64_t *sa = ready(SA_READY);
-    if (!anySet(sa, words_))
-        return;
-    // Input stage: each input port nominates one ready VC.  Its
-    // candidates are bits [in * vcs, (in + 1) * vcs) of the SA words;
-    // the eligibility set lives in a word array so the arbiter grant
-    // is O(words) (RoundRobinArbiter::grantWords).
-    std::fill(sa_out_words_.begin(), sa_out_words_.end(), 0);
-    for (unsigned in = 0; in < numInputs(); ++in) {
-        const InputPort &port = inputs_[in];
-        const unsigned lo = in * vcs;
-        const unsigned hi = lo + vcs;
-        std::uint64_t *elig = sa_vc_words_.data();
-        std::fill(sa_vc_words_.begin(), sa_vc_words_.end(), 0);
-        bool any = false;
-        for (unsigned i = firstSetInRange(sa, lo, hi); i < hi;
-             i = firstSetInRange(sa, i + 1, hi)) {
-            const unsigned vc = i - lo;
-            if (saEligible(port, vc, now)) {
-                elig[vc >> 6] |= std::uint64_t{1} << (vc & 63);
-                any = true;
-            }
-        }
-        if (!any)
-            continue;
-        const unsigned win = params_.agePriority
-            ? oldestRequestor(elig, vc_words_, vcs,
-                              [&](unsigned vc) -> const Flit & {
-                                  return port.front(vc);
-                              })
-            : sa_input_arb_[in].grantWords(elig, vc_words_);
-        sa_nominee_[in] = win;
-        sa_out_words_[port.outPort(win) * in_words_ + (in >> 6)] |=
-            std::uint64_t{1} << (in & 63);
-    }
-    // Output stage: one winner per output port, then traversal.
-    for (unsigned o = 0; o < numOutputs(); ++o) {
-        const std::uint64_t *reqs = sa_out_words_.data() + o * in_words_;
-        const unsigned in = params_.agePriority
-            ? oldestRequestor(reqs, in_words_, numInputs(),
-                              [&](unsigned c) -> const Flit & {
-                                  return inputs_[c].front(sa_nominee_[c]);
-                              })
-            : outputs_[o].saArb.grantWords(reqs, in_words_);
-        if (in < numInputs())
-            traverse(in, sa_nominee_[in], o, now);
     }
 }
 
@@ -576,40 +494,26 @@ Router::empty() const
 bool
 Router::couldWork() const
 {
-    if (arrival_sched_) {
-        // Items merely in flight no longer hold the router awake: the
-        // arrival scheduler wakes it on the delivery cycle, so only
-        // buffered flits or matured, undrained arrivals count.
-        return arrival_sched_->pending(arrival_idx_) != 0 || !empty();
-    }
-    if (!empty())
-        return true;
-    for (unsigned d = 0; d < NUM_DIRS; ++d) {
-        if (in_links_[d].flitIn && !in_links_[d].flitIn->empty())
-            return true;
-        if (outputs_[d].creditIn && !outputs_[d].creditIn->empty())
-            return true;
-    }
-    return false;
+    return arrival_sched_->pending(arrival_idx_) != 0 || !empty();
 }
 
-bool
-Router::hasMaturedArrival(Cycle now) const
+std::uint32_t
+Router::lostArrivals(Cycle now) const
 {
     // Clamp to the wheel's delivered-through horizon: an arrival due
     // at a cycle fire() has not yet been asked for is legitimately
     // still asleep, not a lost wake.
-    if (arrival_sched_)
-        now = std::min(now, arrival_sched_->firedThrough());
+    now = std::min(now, arrival_sched_->firedThrough());
+    std::uint32_t matured = 0;
     for (unsigned d = 0; d < NUM_DIRS; ++d) {
         if (in_links_[d].flitIn &&
             in_links_[d].flitIn->earliestArrival() <= now)
-            return true;
+            matured |= arrivalFlitBit(d);
         if (outputs_[d].creditIn &&
             outputs_[d].creditIn->earliestArrival() <= now)
-            return true;
+            matured |= arrivalCreditBit(d);
     }
-    return false;
+    return matured & ~arrival_sched_->pending(arrival_idx_);
 }
 
 std::uint64_t

@@ -35,7 +35,10 @@
  * (RC-pending, VA-requesting, SA-candidate) and a word of free VCs per
  * output.  InputPort updates them on each transition that changes them,
  * so RC, VA and SA visit only the VCs they can serve: a stage whose
- * word is zero costs one load.
+ * word is zero costs one load.  A router has at most 64 VCs per port
+ * and at most 64 inputs, so an output's free VCs, one input's SA
+ * candidates and one output's SA requestors each fit one word; only
+ * the sets over all input VCs span several.
  */
 
 #ifndef TENOC_NOC_ROUTER_HH
@@ -128,8 +131,8 @@ class Router
     /**
      * Registers this router in its network's active set (idle-skip
      * scheduling).  The router marks itself whenever an NI injects a
-     * flit; its channels mark it on every send (see
-     * Channel::setWakeTarget).
+     * flit; the arrival scheduler marks it when an item on one of its
+     * channels matures (see setArrival).
      */
     void
     setActivity(ActiveSet *set, unsigned idx)
@@ -140,13 +143,18 @@ class Router
 
     /**
      * Registers this router with its network's arrival scheduler under
-     * receiver index `idx` and points every attached channel at it
-     * (channels attached later are pointed on connect).  readInputs
-     * then drains only ports whose pending bit is set — bit d for the
-     * flit link in direction d, bit NUM_DIRS+d for the returning
-     * credit link of output d — and couldWork becomes O(1).
+     * receiver index `idx`; channels connected afterwards post their
+     * wakes to it.  readInputs drains only ports whose pending bit is
+     * set — bit d for the flit link in direction d, bit NUM_DIRS+d for
+     * the returning credit link of output d — so a router that
+     * receives on channels needs a scheduler, set before connecting.
      */
-    void setArrival(ArrivalScheduler *sched, unsigned idx);
+    void
+    setArrival(ArrivalScheduler *sched, unsigned idx)
+    {
+        arrival_sched_ = sched;
+        arrival_idx_ = idx;
+    }
 
     /** Pending-bit of the flit link arriving from direction `d`. */
     static constexpr std::uint32_t
@@ -168,21 +176,23 @@ class Router
 
     /**
      * @return true while this router may still have work: flits
-     * buffered, or items (flits or returning credits) in flight on its
-     * attached channels.  Used to retire routers from the active set;
-     * a router for which this is false performs no state change when
-     * ticked, so skipping it is bit-exact.
+     * buffered, or a matured, undrained arrival (a pending bit).
+     * Items merely in flight do not count: the arrival scheduler wakes
+     * the router on their delivery cycle.  Used to retire routers from
+     * the active set; a router for which this is false performs no
+     * state change when ticked, so skipping it is bit-exact.
      */
     bool couldWork() const;
 
     /**
-     * @return true if any attached channel holds an item that has
-     * matured (arrival <= now) but has not been drained.  Used by the
-     * invariant checker's activity audit: an unmarked router may have
-     * items in flight (the arrival scheduler wakes it on the arrival
-     * cycle), but never a matured, undrained one.
+     * @return the pending bits of attached channels whose front item
+     * has matured (arrival <= min(now, the wheel's fired horizon)) but
+     * whose bit is clear in this router's pending word.  Always zero
+     * unless a wheel entry was lost: readInputs keeps the bit of every
+     * port it leaves a matured item on.  Used by the invariant
+     * checker's activity audit.
      */
-    bool hasMaturedArrival(Cycle now) const;
+    std::uint32_t lostArrivals(Cycle now) const;
 
     // --- NI injection access (same node, zero-latency handshake) ---
     /** Free slots in injection-port buffer `inj` (0-based), VC `vc`. */
@@ -251,10 +261,10 @@ class Router
     {
         return ready(s)[w];
     }
-    /** Word `w` of output `out`'s free-VC set (bit v = VC v unowned). */
-    std::uint64_t freeVcWord(unsigned out, unsigned w) const
+    /** Output `out`'s free-VC word (bit v = VC v unowned). */
+    std::uint64_t freeVcWord(unsigned out) const
     {
-        return slab_->freeVcWords[free_base_ + out * vc_words_ + w];
+        return slab_->freeVcWords[free_base_ + out];
     }
     /** @return true if output VC (`out`, `vc`) is owned by a packet. */
     bool outputVcOwned(unsigned out, unsigned vc) const
@@ -340,12 +350,6 @@ class Router
     /** SA + ST: separable switch allocation, then traversal. */
     void switchAllocate(Cycle now);
 
-    // SA for geometries whose requestor counts exceed 64: the
-    // stage-ready and request sets span several words and grants come
-    // from RoundRobinArbiter::grantWords.  Produces grants identical to
-    // the single-word path in switchAllocate.
-    void switchAllocateWide(Cycle now);
-
     /** Grants requestor `idx` (in * vcs + vc) the lowest free output VC
      *  of its class on output `o`, if there is one. */
     void grantVc(unsigned o, unsigned idx, Cycle now);
@@ -361,11 +365,11 @@ class Router
     {
         return slab_->readyWords.data() + ready_base_ + s * words_;
     }
-    /** First free-VC word of output `out`. */
-    std::uint64_t *
+    /** Free-VC word of output `out`. */
+    std::uint64_t &
     freeVcs(unsigned out)
     {
-        return slab_->freeVcWords.data() + free_base_ + out * vc_words_;
+        return slab_->freeVcWords[free_base_ + out];
     }
 
     bool isInjection(unsigned in) const { return in >= NUM_DIRS; }
@@ -427,23 +431,14 @@ class Router
     ArrivalScheduler *arrival_sched_ = nullptr;
     unsigned arrival_idx_ = 0;
 
-    // Word geometry.
-    unsigned words_ = 1;    ///< words per input-VC set (stage-ready, VA)
-    unsigned vc_words_ = 1; ///< words per VC set (free VCs, SA input)
-    unsigned in_words_ = 1; ///< words per input-port set
+    /** Words per input-VC set (stage-ready, VA requestors). */
+    unsigned words_ = 1;
 
     // Allocation scratch, hoisted out of the per-cycle loops so the
     // hot path performs no heap allocation.
-    /** True when numInputs*vcs <= 64: SA request sets pack into single
-     *  words and switch allocation runs its mask fast path. */
-    bool mask_alloc_ = true;
-    std::vector<std::uint64_t> sa_out_mask_; ///< per-output SA masks
+    std::vector<std::uint64_t> sa_out_mask_; ///< per-output SA inputs
     /** Per-output VA requestor words: numOutputs * words_. */
     std::vector<std::uint64_t> va_reqs_;
-    /** Wide SA input-stage eligibility words: vc_words_. */
-    std::vector<std::uint64_t> sa_vc_words_;
-    /** Per-output wide SA requestor words: numOutputs * in_words_. */
-    std::vector<std::uint64_t> sa_out_words_;
     std::vector<unsigned> sa_nominee_; ///< per input port
 };
 

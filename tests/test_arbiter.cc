@@ -86,9 +86,9 @@ TEST(Arbiter, ResizeResetsOutOfRangePointer)
 
 TEST(Arbiter, GrantWordsFindsRequestorAbove64)
 {
-    // Regression: the single-word mask path silently dropped
-    // requestors 64 and above (many VCs or multi-port MC routers);
-    // the multi-word scan must see them.
+    // Regression: a single-word mask scan silently drops requestors
+    // 64 and above (VC allocation over many input VCs); the
+    // multi-word scan must see them.
     RoundRobinArbiter arb(70);
     std::vector<bool> requests(70, false);
     requests[68] = true;

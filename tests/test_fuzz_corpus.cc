@@ -61,8 +61,8 @@ TEST(FuzzCorpus, HasSeedEntries)
     EXPECT_GE(corpusFiles().size(), 3u);
 
     // One directed entry keeps routers with more than 64 (input, VC)
-    // requestors, i.e. the multi-word switch allocator, under the
-    // oracle battery.
+    // requestors, i.e. multi-word stage-ready and VA requestor sets,
+    // under the oracle battery.
     const DiffConfig cfg = loadCorpusFile(
         std::filesystem::path(TENOC_CORPUS_DIR) / "wide_router_cr.cfg");
     MeshNetwork net(cfg.toNetParams());

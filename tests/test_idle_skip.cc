@@ -7,6 +7,11 @@
  * across seeds, routing algorithms, and the single/double network, in
  * open loop and closed loop.  Any divergence means the activity
  * tracking dropped a component that still had work.
+ *
+ * Both schedulers deliver channel items through the arrival wheel, but
+ * only idle-skip lets a router sleep until its next arrival; the
+ * ArrivalSleepEquivalence cases stress that on long channels, under
+ * link-stall faults and with the age-priority allocator.
  */
 
 #include <gtest/gtest.h>
@@ -117,13 +122,11 @@ drive(Network &net, std::uint64_t seed, Cycle cycles)
 }
 
 MeshNetworkParams
-netParams(const std::string &routing, std::uint64_t seed,
-          bool idle_skip)
+netParams(const std::string &routing, std::uint64_t seed)
 {
     MeshNetworkParams p;
     p.routing = routing;
     p.seed = seed;
-    p.idleSkip = idle_skip;
     // Audit invariants in both scheduler modes: the checker must stay
     // clean and must not perturb a single statistic.
     p.validate = true;
@@ -136,6 +139,21 @@ netParams(const std::string &routing, std::uint64_t seed,
     return p;
 }
 
+/** Drives `p` under full-tick and idle-skip; expects equal results. */
+void
+expectSchedulersAgree(MeshNetworkParams p, bool sliced,
+                      std::uint64_t seed)
+{
+    p.idleSkip = false;
+    const auto full = makeMeshNetwork(p, sliced);
+    p.idleSkip = true;
+    const auto skip = makeMeshNetwork(p, sliced);
+    const Cycle done_full = drive(*full, seed * 31 + 7, 3000);
+    const Cycle done_skip = drive(*skip, seed * 31 + 7, 3000);
+    EXPECT_EQ(done_full, done_skip);
+    expectStatsEqual(full->stats(), skip->stats());
+}
+
 class IdleSkipEquivalence
     : public ::testing::TestWithParam<
           std::tuple<std::uint64_t, std::string, bool>>
@@ -144,14 +162,7 @@ class IdleSkipEquivalence
 TEST_P(IdleSkipEquivalence, MatchesFullTick)
 {
     const auto [seed, routing, sliced] = GetParam();
-    const auto full =
-        makeMeshNetwork(netParams(routing, seed, false), sliced);
-    const auto skip =
-        makeMeshNetwork(netParams(routing, seed, true), sliced);
-    const Cycle done_full = drive(*full, seed * 31 + 7, 3000);
-    const Cycle done_skip = drive(*skip, seed * 31 + 7, 3000);
-    EXPECT_EQ(done_full, done_skip);
-    expectStatsEqual(full->stats(), skip->stats());
+    expectSchedulersAgree(netParams(routing, seed), sliced, seed);
 }
 
 std::string
@@ -171,6 +182,33 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values<std::string>("xy", "yx", "cr"),
         ::testing::Bool()),
     idleSkipCaseName);
+
+TEST(ArrivalSleepEquivalence, LongChannelLatency)
+{
+    // Multi-cycle links park several entries per channel in the wheel.
+    MeshNetworkParams p = netParams("xy", 4);
+    p.channelLatency = 5;
+    expectSchedulersAgree(p, false, 4);
+}
+
+TEST(ArrivalSleepEquivalence, LinkStallFaults)
+{
+    // Transient link stalls consume wheel wakes while the channel
+    // delivers nothing; the stall-clear re-mark and the readInputs
+    // keep-bit must together never strand a flit.
+    MeshNetworkParams p = netParams("xy", 6);
+    p.faults.linkStallRate = 2e-3;
+    p.faults.linkStallDuration = 12;
+    p.faults.seed = 99;
+    expectSchedulersAgree(p, false, 6);
+}
+
+TEST(ArrivalSleepEquivalence, AgePriorityAllocator)
+{
+    MeshNetworkParams p = netParams("xy", 5);
+    p.agePriority = true;
+    expectSchedulersAgree(p, false, 5);
+}
 
 TEST(IdleSkipEquivalence, OpenLoopResultsIdentical)
 {
@@ -223,7 +261,7 @@ TEST(IdleSkipEquivalence, DrainedIsExactUnderIdleSkip)
 {
     // drained() is an O(1) in-flight counter; check it flips exactly
     // when the last packet leaves.
-    MeshNetwork net(netParams("xy", 3, true));
+    MeshNetwork net(netParams("xy", 3));
     DropSink sink;
     const auto &topo = net.topology();
     for (NodeId n = 0; n < topo.numNodes(); ++n)

@@ -3,11 +3,12 @@
  * Hardening-layer tests: the invariant checker stays clean on correct
  * executions, and mutation tests prove that each deliberately injected
  * inconsistency (leaked credit, corrupted in-flight counter, router
- * retired from the active set while it still has work, pooled-packet
- * double release) is detected and reported precisely.  Also covers the
- * config-hardening fatal paths (0 VCs, off-mesh MCs, odd sliced flit
- * width, ...) as exit-code tests, and the strict 0/1 parsing of the
- * TENOC_VALIDATE / TENOC_ARRIVAL_SLEEP switches.
+ * retired from the active set while it still has work, lost
+ * arrival-wheel wake, pooled-packet double release) is detected and
+ * reported precisely.  Also covers the config-hardening fatal paths
+ * (0 VCs, off-mesh MCs, odd sliced flit width, routers wider than one
+ * 64-bit word, ...) as exit-code tests, and the strict 0/1 parsing of
+ * the TENOC_VALIDATE switch.
  */
 
 #include <gtest/gtest.h>
@@ -253,6 +254,50 @@ TEST(Invariants, RetiredActiveRouterIsCaught)
         << describe(vs);
 }
 
+TEST(Invariants, LostArrivalWakeIsCaught)
+{
+    // A permanent stall on the link (0,2) -> (1,2) parks the packet's
+    // flit in the channel once it matures; (1,2) keeps the port's
+    // pending bit and stays active.  Dropping the bit models a lost
+    // wheel entry on an active router: nothing would ever drain the
+    // flit, yet no router is retired.
+    MeshNetworkParams p;
+    const Topology probe(p.topo);
+    const NodeId src = probe.nodeAt(0, 2);
+    const NodeId victim = probe.nodeAt(1, 2);
+    FaultEvent stall;
+    stall.kind = FaultKind::LINK_STALL;
+    stall.node = src;
+    stall.port = DIR_EAST;
+    p.faults.schedule.push_back(stall);
+    MeshNetwork net(p);
+    DropSink sink;
+    attachDropSinks(net, sink);
+
+    auto pkt = makePacket();
+    pkt->src = src;
+    pkt->dst = probe.nodeAt(5, 2);
+    pkt->op = MemOp::READ_REQUEST;
+    pkt->protoClass = 0;
+    pkt->sizeFlits = net.packetFlits(MemOp::READ_REQUEST);
+    pkt->sizeBytes = memOpBytes(MemOp::READ_REQUEST);
+    net.inject(std::move(pkt), 0);
+
+    Cycle now = 0;
+    while (!net.router(victim).couldWork() && now < 100)
+        net.cycle(now++);
+    ASSERT_TRUE(net.router(victim).couldWork())
+        << "flit never matured on the stalled link";
+    ASSERT_TRUE(net.router(victim).empty());
+    ASSERT_TRUE(net.checker().audit(now).empty());
+
+    net.debugDropPending(victim);
+    const auto vs = net.checker().audit(now);
+    ASSERT_FALSE(vs.empty());
+    EXPECT_TRUE(hasViolation(vs, Violation::Kind::ACTIVITY))
+        << describe(vs);
+}
+
 TEST(Invariants, ValidateForcedByEnvParsesValues)
 {
     const char *saved = ::getenv("TENOC_VALIDATE");
@@ -281,25 +326,6 @@ TEST(EnvSwitch, ValidateAcceptsOnlyZeroOrOne)
         EXPECT_FALSE(MeshNetwork(p).params().validate) << bad;
         EXPECT_GT(warnCount(), warned) << bad;
     }
-}
-
-TEST(EnvSwitch, ArrivalSleepAcceptsOnlyZeroOrOne)
-{
-    MeshNetworkParams p;
-    p.arrivalSleep = false;
-    {
-        ScopedEnv env("TENOC_ARRIVAL_SLEEP", "1");
-        EXPECT_TRUE(MeshNetwork(p).params().arrivalSleep);
-    }
-    for (const char *bad : {"off", "false", "no", "2"}) {
-        ScopedEnv env("TENOC_ARRIVAL_SLEEP", bad);
-        const auto warned = warnCount();
-        EXPECT_FALSE(MeshNetwork(p).params().arrivalSleep) << bad;
-        EXPECT_GT(warnCount(), warned) << bad;
-    }
-    p.arrivalSleep = true;
-    ScopedEnv env("TENOC_ARRIVAL_SLEEP", "0");
-    EXPECT_FALSE(MeshNetwork(p).params().arrivalSleep);
 }
 
 using InvariantsDeathTest = ::testing::Test;
@@ -341,6 +367,20 @@ TEST(ConfigHardeningDeathTest, ZeroVcsRejected)
     p.vcsPerClass = 0;
     EXPECT_EXIT(validateMeshNetworkParams(p),
                 ::testing::ExitedWithCode(1), "vcsPerClass");
+}
+
+TEST(ConfigHardeningDeathTest, RouterWiderThanOneWordRejected)
+{
+    // Each output's free VCs and each input's SA candidates are one
+    // 64-bit word, as is each output's set of requesting inputs.
+    MeshNetworkParams wide_vcs;
+    wide_vcs.vcsPerClass = 33; // 2 protocol classes -> 66 VCs per port
+    EXPECT_EXIT(MeshNetwork{wide_vcs}, ::testing::ExitedWithCode(1),
+                "66 VCs per port");
+    MeshNetworkParams many_ports;
+    many_ports.mcInjPorts = 61; // 4 + 61 = 65 inputs at MC routers
+    EXPECT_EXIT(MeshNetwork{many_ports}, ::testing::ExitedWithCode(1),
+                "65 inputs");
 }
 
 TEST(ConfigHardeningDeathTest, ZeroVcDepthRejected)

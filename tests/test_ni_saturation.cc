@@ -7,10 +7,10 @@
  * canInject refusing most cycles) and ejection throttled by a sink
  * that accepts only a fraction of reservation attempts (ejection
  * buffers pinned at ejBufferFlits, credits withheld upstream) — and
- * requires bit-identical final statistics across the scheduler
- * toggles: idle-skip, channel slicing (DoubleNetwork), the parallel
- * cycle engine, arrival-scheduled channels, and link-stall fault
- * injection.  The slab-backed NI rings spend the whole run at their
+ * requires bit-identical final statistics between the full-tick and
+ * idle-skip schedulers, single and channel-sliced (DoubleNetwork), with
+ * and without link-stall fault injection, and on multi-port MC
+ * routers.  The slab-backed NI rings spend the whole run at their
  * capacity bounds, so any ring-arithmetic or early-out-counter bug
  * diverges a counter here.
  */
@@ -29,9 +29,7 @@ namespace
  * Accepts one reservation in `stride`, refusing the rest.  One sink
  * per node: each NI issues its reservation attempts in a
  * deterministic per-NI order, so a per-node counter throttles
- * identically whatever the cross-NI execution order — a single
- * shared counter would observe the parallel drain phase's worker
- * interleaving and break the equivalence the suite asserts.
+ * identically whatever subset of NIs a scheduler visits.
  */
 struct ThrottledSink : PacketSink
 {
@@ -187,8 +185,8 @@ satCaseName(const ::testing::TestParamInfo<
     s += sliced ? "_double" : "_single";
     // "t1" (one cycle thread) keeps the established case ids stable.
     s += "_t1";
-    s += faults ? "_faults" : "_clean";
-    s += "_" + std::to_string(seed);
+    s += faults ? "_faults_" : "_clean_";
+    s += std::to_string(seed);
     return s;
 }
 
@@ -199,18 +197,25 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()),
     satCaseName);
 
+/** Saturates `p` under full-tick and idle-skip; expects equal runs. */
+void
+expectSchedulersAgree(MeshNetworkParams p, std::uint64_t seed)
+{
+    p.idleSkip = false;
+    const RunResult full = saturate(p, false, seed, SAT_CYCLES);
+    p.idleSkip = true;
+    const RunResult skip = saturate(p, false, seed, SAT_CYCLES);
+    expectRunsEqual(full, skip);
+}
+
 TEST(NiSaturation, ArrivalSleepInvariantUnderBackpressure)
 {
-    // The wheel vs mark-on-send cross, separately, under the same
-    // saturating workload: ejection backpressure keeps matured flits
-    // parked in channels for many cycles, exercising the readInputs
-    // keep-bit path far harder than free-flowing traffic.
-    MeshNetworkParams p = baseParams(13);
-    p.arrivalSleep = false;
-    const RunResult off = saturate(p, false, 13, SAT_CYCLES);
-    p.arrivalSleep = true;
-    const RunResult on = saturate(p, false, 13, SAT_CYCLES);
-    expectRunsEqual(off, on);
+    // Sleeping until arrival (idle-skip) vs ticking every router every
+    // cycle (full-tick) under the saturating workload: ejection
+    // backpressure keeps matured flits parked in channels for many
+    // cycles, exercising the readInputs keep-bit path far harder than
+    // free-flowing traffic.
+    expectSchedulersAgree(baseParams(13), 13);
 }
 
 TEST(NiSaturation, McMultiPortRouters)
@@ -220,11 +225,7 @@ TEST(NiSaturation, McMultiPortRouters)
     MeshNetworkParams p = baseParams(17);
     p.mcInjPorts = 2;
     p.mcEjPorts = 2;
-    p.arrivalSleep = false;
-    const RunResult off = saturate(p, false, 17, SAT_CYCLES);
-    p.arrivalSleep = true;
-    const RunResult on = saturate(p, false, 17, SAT_CYCLES);
-    expectRunsEqual(off, on);
+    expectSchedulersAgree(p, 17);
 }
 
 } // namespace

@@ -73,7 +73,8 @@ TEST(RouterConnectivity, HalfRouterRestrictsToStraightThrough)
     }
 }
 
-/** Two-router fixture: A --east--> B, NI sink at B. */
+/** Two-router fixture: A --east--> B, NI sink at B, channel arrivals
+ *  delivered through an arrival wheel as in a network. */
 class TwoRouterTest : public ::testing::Test, public EjectionSink
 {
   protected:
@@ -81,8 +82,11 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
         : topo_(TopologyParams{}), xy_(topo_, true),
           a_(topo_.nodeAt(0, 0), topo_, xy_, routerParams()),
           b_(topo_.nodeAt(1, 0), topo_, xy_, routerParams()),
-          ab_flit_(1), ab_credit_(1)
+          ab_flit_(1), ab_credit_(1), active_(2)
     {
+        arrival_.configure(2, 1, &active_);
+        a_.setArrival(&arrival_, 0);
+        b_.setArrival(&arrival_, 1);
         a_.connectOutput(DIR_EAST, &ab_flit_, &ab_credit_);
         b_.connectInput(DIR_WEST, &ab_flit_, &ab_credit_);
         b_.setEjectionSink(this);
@@ -113,6 +117,7 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
         std::size_t next = 0;
         const Cycle end = now_ + cycles;
         for (; now_ < end; ++now_) {
+            arrival_.fire(now_);
             a_.readInputs(now_);
             b_.readInputs(now_);
             if (next < flits.size() &&
@@ -134,6 +139,8 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
     Router b_;
     Channel<Flit> ab_flit_;
     Channel<Credit> ab_credit_;
+    ActiveSet active_;
+    ArrivalScheduler arrival_;
     std::vector<std::pair<Cycle, Flit>> ejected_;
 };
 
@@ -237,10 +244,8 @@ TEST(Router, MultiEjectionPortsRoundRobin)
         flits[0].vc = static_cast<unsigned>(i);
         r.injectFlit(0, std::move(flits[0]), 0);
     }
-    for (Cycle t = 0; t < 10; ++t) {
-        r.readInputs(t);
+    for (Cycle t = 0; t < 10; ++t)
         r.compute(t);
-    }
     ASSERT_EQ(sink.ports.size(), 2u);
     EXPECT_NE(sink.ports[0], sink.ports[1]);
 }
@@ -342,7 +347,7 @@ expectWordsMatchState(const Router &r)
             if (!r.outputVcOwned(o, vc))
                 free |= std::uint64_t{1} << vc;
         }
-        EXPECT_EQ(r.freeVcWord(o, 0), free) << "output " << o;
+        EXPECT_EQ(r.freeVcWord(o), free) << "output " << o;
     }
 }
 
@@ -352,16 +357,19 @@ expectWordsMatchState(const Router &r)
  * (2 flits) and then C (1 flit) queue on the second-to-last injection
  * port, B (1 flit) on the last; all three eject here and share the
  * single request-class ejection VC.  A's tail arrives only after its
- * head has left.  With `inj_ports` large enough the router takes the
- * multi-word allocators.
+ * head has left.  With `inj_ports` large enough the sets over all input
+ * VCs span several words.  Packets use VC 0 of `proto_classes` VCs per
+ * port.
  */
 void
-runStageWordTransitions(unsigned inj_ports)
+runStageWordTransitions(unsigned inj_ports, unsigned proto_classes = 2)
 {
     Topology topo{TopologyParams{}};
     DorRouting xy(topo, true);
     const NodeId node = topo.nodeAt(0, 0);
-    Router r(node, topo, xy, routerParams(false, inj_ports, 1));
+    Router::Params rp = routerParams(false, inj_ports, 1);
+    rp.vcMap.protoClasses = proto_classes;
+    Router r(node, topo, xy, rp);
     struct Sink : EjectionSink
     {
         bool ejectReady(unsigned) const override { return true; }
@@ -448,6 +456,13 @@ TEST(RouterStageWords, TrackEveryTransitionMultiWord)
     // 4 + 40 inputs x 2 VCs = 88 input VCs: two words per set, and A/C
     // and B sit in the second word.
     runStageWordTransitions(40);
+}
+
+TEST(RouterStageWords, TrackEveryTransitionStraddlingWords)
+{
+    // 4 + 18 inputs x 3 VCs: B's port holds bits 63-65, so its SA
+    // candidates straddle the first two words of the set.
+    runStageWordTransitions(18, 3);
 }
 
 } // namespace
