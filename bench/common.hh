@@ -140,7 +140,7 @@ inline double
 chipAreaFor(ConfigId id)
 {
     const AreaModel model;
-    return model.chipArea(model.meshArea(areaSpecFor(id)));
+    return model.chipArea(model.meshArea(areaSpecFor(makeConfig(id))));
 }
 
 /**

@@ -54,34 +54,27 @@ main(int argc, char **argv)
         {"2x-TB-DOR", netFor(ConfigId::TB_DOR_2X)},
     };
 
-    // Every (hotspot, rate, curve) point is an independent open-loop
-    // simulation; flatten them and fan out over the sweep pool, then
-    // print in the original order.
+    // Each (hotspot, curve) pair is one task on the sweep pool.  It
+    // sweeps the offered load upward and stops at the first saturated
+    // rate: every higher rate saturates too, and prints as "sat".
     const double hotspots[] = {0.0, 0.2};
-    std::vector<double> rates;
-    for (double rate = 0.01; rate <= 0.1301; rate += 0.01)
-        rates.push_back(rate);
     const std::size_t n_curves = std::size(curves);
-    const std::size_t per_hotspot = rates.size() * n_curves;
-    const auto results =
-        sweepMap(std::size(hotspots) * per_hotspot, [&](std::size_t i) {
-            const double hotspot = hotspots[i / per_hotspot];
-            const std::size_t j = i % per_hotspot;
-            const auto &c = curves[j % n_curves];
+    const auto sweeps =
+        sweepMap(std::size(hotspots) * n_curves, [&](std::size_t i) {
+            const auto &c = curves[i % n_curves];
             OpenLoopParams p;
             p.net = c.net;
-            p.injectionRate = rates[j / n_curves];
-            p.hotspotFraction = hotspot;
+            p.hotspotFraction = hotspots[i / n_curves];
             p.seed = 2024;
             // Packet sizes in flits follow the channel width
             // (8-byte requests, 64-byte replies).
             p.requestFlits = flitsForBytes(8, p.net.flitBytes);
             p.replyFlits = flitsForBytes(64, p.net.flitBytes);
-            return runOpenLoop(p);
+            return sweepOpenLoop(p, 0.01, 0.01, 0.13);
         });
 
-    std::size_t idx = 0;
-    for (double hotspot : hotspots) {
+    for (std::size_t h = 0; h < std::size(hotspots); ++h) {
+        const double hotspot = hotspots[h];
         std::printf("\n--- %s many-to-few-to-many (%s) ---\n",
                     hotspot == 0.0 ? "Uniform random" : "Hotspot",
                     hotspot == 0.0 ? "Fig. 21(a)"
@@ -92,14 +85,16 @@ main(int argc, char **argv)
         for (const auto &c : curves)
             std::printf(" %12s", c.label);
         std::printf("\n");
-        for (double rate : rates) {
+        std::size_t ri = 0;
+        for (double rate = 0.01; rate <= 0.13 + 1e-12;
+             rate += 0.01, ++ri) {
             std::printf("%-10.3f |", rate);
             for (std::size_t ci = 0; ci < n_curves; ++ci) {
-                const auto &r = results[idx++];
-                if (r.saturated)
+                const auto &sweep = sweeps[h * n_curves + ci];
+                if (ri >= sweep.size() || sweep[ri].saturated)
                     std::printf(" %12s", "sat");
                 else
-                    std::printf(" %12.1f", r.avgLatency);
+                    std::printf(" %12.1f", sweep[ri].avgLatency);
             }
             std::printf("\n");
         }

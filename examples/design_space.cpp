@@ -23,10 +23,10 @@ namespace
 /** Evaluates one chip configuration on one workload. */
 void
 evaluate(const char *label, const ChipParams &params,
-         const MeshAreaSpec &area_spec, const KernelProfile &profile)
+         const KernelProfile &profile)
 {
     const AreaModel model;
-    const auto noc = model.meshArea(area_spec);
+    const auto noc = model.meshArea(areaSpecFor(params));
     const double chip = model.chipArea(noc);
     const ChipResult r = runWorkload(params, profile);
     std::printf("%-32s IPC %7.2f  noc %6.2f mm^2  chip %7.2f  "
@@ -53,8 +53,7 @@ main(int argc, char **argv)
                         ConfigId::CP_CR_4VC,
                         ConfigId::THROUGHPUT_EFFECTIVE,
                         ConfigId::CP_CR_2INJ_SINGLE}) {
-        evaluate(configName(id), makeConfig(id), areaSpecFor(id),
-                 profile);
+        evaluate(configName(id), makeConfig(id), profile);
     }
 
     // ...and a custom design: a checkerboard mesh with 12-byte
@@ -63,12 +62,7 @@ main(int argc, char **argv)
     custom.mesh.flitBytes = 12;
     custom.mesh.vcsPerClass = 2;
     custom.mesh.mcInjPorts = 3;
-
-    MeshAreaSpec spec = areaSpecFor(ConfigId::CP_CR_4VC);
-    spec.channelBytes = 12.0;
-    spec.vcs = 8;
-    spec.mcInjPorts = 3;
-    evaluate("custom 12B/8VC/3-inj", custom, spec, profile);
+    evaluate("custom 12B/8VC/3-inj", custom, profile);
 
     std::printf("\nthroughput-effectiveness (IPC/mm^2) is the paper's "
                 "figure of merit: higher is better.\n");

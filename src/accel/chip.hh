@@ -13,7 +13,6 @@
 #ifndef TENOC_ACCEL_CHIP_HH
 #define TENOC_ACCEL_CHIP_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -54,19 +53,11 @@ struct ChipResult
 class Chip
 {
   public:
-    /** Builds a per-core instruction source (e.g. a trace slice). */
-    using InstSourceFactory =
-        std::function<std::unique_ptr<InstSource>(unsigned core_id)>;
-
     /**
      * @param params chip configuration
-     * @param profile kernel to execute (cache modes, MLP; and the
-     *        instruction statistics when no factory is given)
-     * @param factory optional per-core instruction sources (trace
-     *        replay); null uses the profile's statistics
+     * @param profile kernel to execute
      */
-    Chip(const ChipParams &params, const KernelProfile &profile,
-         InstSourceFactory factory = {});
+    Chip(const ChipParams &params, const KernelProfile &profile);
     ~Chip();
 
     /**

@@ -82,8 +82,9 @@ ChipParams makeConfig(ConfigId id, std::uint64_t seed = 1);
 ChipParams makeBwLimitedConfig(double dram_bw_fraction,
                                std::uint64_t seed = 1);
 
-/** Area-model spec matching a named configuration (Table VI rows). */
-MeshAreaSpec areaSpecFor(ConfigId id);
+/** Area-model spec of the mesh a configuration simulates (Table VI
+ *  rows). */
+MeshAreaSpec areaSpecFor(const ChipParams &p);
 
 /** Aggregate flits/icnt-cycle equal to the full DRAM bandwidth. */
 double dramBandwidthFlitsPerIcntCycle(const ChipParams &p);
@@ -93,14 +94,21 @@ double dramBandwidthFlitsPerIcntCycle(const ChipParams &p);
  * base configuration.  Recognized keys (all optional):
  *
  *   base            = name of a base config (default "baseline"):
- *                     baseline | 2x | 1cyc | perfect | cp |
- *                     cp-dor-4vc | cp-cr | double | thr-eff | cp-cr-2p
+ *                     baseline | tb-dor | 2x | 1cyc | perfect | cp |
+ *                     cp-dor | cp-dor-4vc | cp-cr | double | thr-eff |
+ *                     cp-cr-2p
  *   noc.rows, noc.cols, noc.mcs
  *   noc.routing     = xy | yx | cr | o1turn | romm | valiant
  *   noc.placement   = top-bottom | checkerboard
- *   noc.halfRouters = bool
+ *   noc.halfRouters, noc.sliced, noc.agePriority = bool
  *   noc.flitBytes, noc.vcsPerClass, noc.vcDepth, noc.pipelineDepth,
- *   noc.halfPipelineDepth, noc.mcInjPorts, noc.mcEjPorts, noc.sliced
+ *   noc.halfPipelineDepth, noc.mcInjPorts, noc.mcEjPorts
+ *   noc.validate, noc.validateInterval, noc.watchdogWindow,
+ *   noc.maxPacketAge, noc.watchdogSnapshotPath  (MeshNetworkParams)
+ *   fault.linkStallRate, fault.linkStallDuration,
+ *   fault.routerFreezeRate, fault.routerFreezeDuration,
+ *   fault.creditDropRate, fault.maxCreditDrops, fault.seed
+ *                                               (FaultConfig)
  *   clk.coreMhz, clk.icntMhz, clk.memMhz
  *   mc.inputQueueCap, mc.l2HitLatency
  *   dram.queueCapacity, dram.banks, dram.rowBytes

@@ -67,21 +67,6 @@ McNode::icntCycle(Cycle icnt_now)
         l2_pipe_.pop_front();
     }
 
-    // 2b. Dirty L2 victims (real-tag mode) become DRAM writes.
-    while (!l2_writebacks_.empty() && dram_.canAccept()) {
-        DramRequest req;
-        req.localAddr =
-            compactAddress(l2_writebacks_.front(),
-                           params_.numChannels,
-                           params_.interleaveBytes);
-        req.write = true;
-        req.tag = next_dram_tag_++;
-        dram_pending_[req.tag] =
-            PendingDram{INVALID_NODE, l2_writebacks_.front(), true};
-        dram_.push(std::move(req), mem_now_);
-        l2_writebacks_.pop_front();
-    }
-
     // 3. Retry a request stalled on the DRAM queue.
     if (dram_wait_ && dram_.canAccept()) {
         PacketPtr pkt = std::move(dram_wait_);
@@ -104,7 +89,7 @@ McNode::icntCycle(Cycle icnt_now)
     ++requests_served_;
 
     const bool is_write = (pkt->op == MemOp::WRITE_REQUEST);
-    const auto res = l2_.access(pkt->addr, is_write);
+    const auto res = l2_.access(pkt->addr);
     if (res.hit) {
         if (!is_write) {
             auto reply = makePacket();
@@ -123,8 +108,7 @@ McNode::icntCycle(Cycle icnt_now)
         return;
     }
 
-    // L2 miss: go to DRAM (writes are no-allocate at the L2 and go
-    // straight to memory; reads allocate on return).
+    // L2 miss: go to DRAM (writes go straight to memory).
     if (dram_.canAccept()) {
         DramRequest req;
         req.localAddr = compactAddress(pkt->addr, params_.numChannels,
@@ -158,8 +142,6 @@ McNode::memCycle(Cycle mem_now)
         dram_pending_.erase(it);
         if (meta.write)
             continue; // writes are fire-and-forget
-        if (const auto victim = l2_.fill(meta.addr, false))
-            l2_writebacks_.push_back(*victim);
         auto reply = makePacket();
         reply->src = node_;
         reply->dst = meta.requester;
@@ -183,7 +165,7 @@ McNode::idle() const
 {
     return input_queue_.empty() && l2_pipe_.empty() &&
         reply_queue_.empty() && dram_pending_.empty() && !dram_wait_ &&
-        l2_writebacks_.empty() && dram_.idle();
+        dram_.idle();
 }
 
 void
@@ -239,9 +221,6 @@ McNode::save(SnapshotWriter &w) const
     w.u64(reply_queue_.size());
     for (const PacketPtr &pkt : reply_queue_)
         savePacket(w, pkt);
-    w.u64(l2_writebacks_.size());
-    for (const Addr addr : l2_writebacks_)
-        w.u64(addr);
     w.u64(stall_cycles_);
     w.u64(icnt_cycles_);
     w.u64(requests_served_);
@@ -285,10 +264,6 @@ McNode::restore(SnapshotReader &r)
     const std::uint64_t nreply = r.u64();
     for (std::uint64_t i = 0; i < nreply; ++i)
         reply_queue_.push_back(loadPacket(r));
-    l2_writebacks_.clear();
-    const std::uint64_t nwb = r.u64();
-    for (std::uint64_t i = 0; i < nwb; ++i)
-        l2_writebacks_.push_back(r.u64());
     stall_cycles_ = r.u64();
     icnt_cycles_ = r.u64();
     requests_served_ = r.u64();

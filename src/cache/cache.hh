@@ -1,15 +1,13 @@
 /**
  * @file
- * Set-associative cache model (L1 data caches per core, shared L2
+ * Profile-locality cache model (L1 data caches per core, shared L2
  * banks at the MC nodes; Table II).
  *
- * Two operating modes:
- *  - REAL: tag array with LRU replacement, writeback / write-allocate
- *    (the paper's L1 policy, Sec. II).
- *  - PROFILE: hit/miss outcomes drawn from a calibrated hit rate while
- *    the structural path (MSHRs, request/reply packets, DRAM row
- *    stream) is still fully simulated.  Used by the synthetic workload
- *    suite; see DESIGN.md "Substitutions".
+ * Hit/miss outcomes are drawn from a calibrated hit rate while the
+ * structural path (MSHRs, request/reply packets, DRAM row stream) is
+ * fully simulated; see DESIGN.md "Substitutions".  The geometry only
+ * sets the line size and the set count used to synthesize dirty
+ * victim addresses.
  */
 
 #ifndef TENOC_CACHE_CACHE_HH
@@ -17,7 +15,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -28,17 +25,16 @@ namespace tenoc
 class SnapshotWriter;
 class SnapshotReader;
 
-/** Cache geometry and mode. */
+/** Cache geometry and locality profile. */
 struct CacheParams
 {
     std::uint64_t sizeBytes = 16 * 1024;
     unsigned lineBytes = 64;
     unsigned ways = 4;
 
-    enum class Mode { REAL, PROFILE } mode = Mode::REAL;
-    /** PROFILE mode: probability an access hits. */
+    /** Probability an access hits. */
     double profileHitRate = 0.0;
-    /** PROFILE mode: probability a miss evicts a dirty line. */
+    /** Probability a miss evicts a dirty line. */
     double profileWritebackRate = 0.0;
 };
 
@@ -46,7 +42,7 @@ struct CacheParams
 struct CacheAccessResult
 {
     bool hit = false;
-    /** Dirty eviction to perform (REAL: on fill; PROFILE: on miss). */
+    /** Dirty victim to write back (drawn on a miss). */
     std::optional<Addr> writeback;
 };
 
@@ -55,7 +51,6 @@ class Cache
   public:
     explicit Cache(const CacheParams &params, std::uint64_t seed = 7);
 
-    const CacheParams &params() const { return params_; }
     unsigned numSets() const { return num_sets_; }
 
     /** Aligns an address to its line. */
@@ -63,28 +58,15 @@ class Cache
         params_.lineBytes - 1); }
 
     /**
-     * Performs a load/store lookup.  REAL mode: on hit, updates LRU
-     * (and dirty bit for stores).  On miss the line is NOT filled;
-     * call fill() when the refill returns.
+     * Draws the outcome of a lookup.  A miss may also draw a dirty
+     * victim in the same set as `addr`.
      */
-    CacheAccessResult access(Addr addr, bool write);
+    CacheAccessResult access(Addr addr);
 
-    /**
-     * Installs a line after a refill (REAL mode); returns a dirty
-     * victim address if one was evicted.  PROFILE mode: no-op.
-     */
-    std::optional<Addr> fill(Addr addr, bool dirty);
-
-    /** @return true if the line is present (REAL mode only). */
-    bool probe(Addr addr) const;
-
-    /** Invalidates everything (e.g. between kernels). */
-    void flush();
-
-    /** Serializes tag array, LRU clock, RNG and counters. */
+    /** Serializes the RNG and counters. */
     void save(SnapshotWriter &w) const;
 
-    /** Restores state written by save(); geometry must match. */
+    /** Restores state written by save(). */
     void restore(SnapshotReader &r);
 
     // --- stats ---
@@ -98,21 +80,8 @@ class Cache
     }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-        std::uint64_t lruStamp = 0;
-    };
-
-    unsigned setOf(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-
     CacheParams params_;
     unsigned num_sets_;
-    std::vector<Line> lines_; ///< num_sets_ * ways, row-major
-    std::uint64_t stamp_ = 0;
     Rng rng_;
 
     std::uint64_t hits_ = 0;

@@ -19,9 +19,10 @@ constexpr std::uint32_t SNAPSHOT_MAGIC = 0x544e4f43u; // "CONT" LE: TNOC
 const char *
 simulatorVersion()
 {
-    // Major.minor of the simulator's serialized-state contract; bumped
-    // together with SNAPSHOT_FORMAT_VERSION or whenever a model change
-    // alters simulation results for a fixed config.
+    // Major.minor of the simulator's results contract; bumped whenever
+    // a model change alters simulation results for a fixed config.
+    // Config hashes embed it, so a layout-only change bumps just
+    // SNAPSHOT_FORMAT_VERSION.
     return "tenoc-7.0";
 }
 

@@ -1,13 +1,9 @@
 /**
  * @file
- * InstSource implementations.
+ * ProfileInstSource implementation.
  */
 
 #include "gpu/inst_source.hh"
-
-#include <cctype>
-#include <fstream>
-#include <sstream>
 
 #include "common/log.hh"
 #include "common/snapshot.hh"
@@ -60,98 +56,6 @@ ProfileInstSource::decode(unsigned warp, Warp::PendingInst &out,
     }
 }
 
-std::unique_ptr<TraceInstSource>
-TraceInstSource::fromText(const std::string &text)
-{
-    auto src = std::unique_ptr<TraceInstSource>(new TraceInstSource);
-    std::istringstream is(text);
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(is, line)) {
-        ++line_no;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream ls(line);
-        unsigned warp = 0;
-        std::string op;
-        if (!(ls >> warp >> op))
-            continue; // blank/comment line
-        if (warp >= src->per_warp_.size())
-            src->per_warp_.resize(warp + 1);
-        Warp::PendingInst inst;
-        if (op == "A" || op == "a") {
-            inst.isMem = false;
-        } else if (op == "L" || op == "l" || op == "S" || op == "s") {
-            inst.isMem = true;
-            inst.isStore = (op == "S" || op == "s");
-            std::string tok;
-            while (ls >> tok) {
-                try {
-                    inst.lines.push_back(std::stoull(tok, nullptr, 0));
-                } catch (const std::exception &) {
-                    tenoc_fatal("trace line ", line_no,
-                                ": bad address '", tok, "'");
-                }
-            }
-            if (inst.lines.empty())
-                tenoc_fatal("trace line ", line_no,
-                            ": memory op without addresses");
-        } else {
-            tenoc_fatal("trace line ", line_no, ": unknown op '", op,
-                        "' (expected A, L, or S)");
-        }
-        src->per_warp_[warp].push_back(std::move(inst));
-    }
-    if (src->per_warp_.empty())
-        tenoc_fatal("trace contains no instructions");
-    src->cursor_.assign(src->per_warp_.size(), 0);
-    return src;
-}
-
-std::unique_ptr<TraceInstSource>
-TraceInstSource::fromFile(const std::string &path)
-{
-    std::ifstream f(path);
-    if (!f)
-        tenoc_fatal("cannot open trace file '", path, "'");
-    std::stringstream ss;
-    ss << f.rdbuf();
-    return fromText(ss.str());
-}
-
-void
-TraceInstSource::rewind()
-{
-    std::fill(cursor_.begin(), cursor_.end(), 0);
-}
-
-unsigned
-TraceInstSource::numWarps() const
-{
-    return static_cast<unsigned>(per_warp_.size());
-}
-
-std::uint64_t
-TraceInstSource::warpLength(unsigned warp) const
-{
-    return warp < per_warp_.size() ? per_warp_[warp].size() : 0;
-}
-
-void
-TraceInstSource::decode(unsigned warp, Warp::PendingInst &out,
-                        Rng &rng)
-{
-    (void)rng;
-    tenoc_assert(warp < per_warp_.size() &&
-                 cursor_[warp] < per_warp_[warp].size(),
-                 "trace replay past end of warp ", warp);
-    const auto &inst = per_warp_[warp][cursor_[warp]++];
-    out.isMem = inst.isMem;
-    out.isStore = inst.isStore;
-    out.lines = inst.lines;
-}
-
 void
 ProfileInstSource::save(SnapshotWriter &w) const
 {
@@ -168,24 +72,6 @@ ProfileInstSource::restore(SnapshotReader &r)
                  "address-stream count mismatch in snapshot");
     for (AddressStream &stream : streams_)
         stream.setStep(r.u64());
-}
-
-void
-TraceInstSource::save(SnapshotWriter &w) const
-{
-    w.u64(cursor_.size());
-    for (const std::size_t c : cursor_)
-        w.u64(c);
-}
-
-void
-TraceInstSource::restore(SnapshotReader &r)
-{
-    const std::uint64_t n = r.u64();
-    tenoc_assert(n == cursor_.size(),
-                 "trace cursor count mismatch in snapshot");
-    for (std::size_t &c : cursor_)
-        c = static_cast<std::size_t>(r.u64());
 }
 
 } // namespace tenoc

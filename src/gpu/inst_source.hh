@@ -1,22 +1,15 @@
 /**
  * @file
- * Instruction sources for the SIMT core.
+ * Instruction source for the SIMT core.
  *
- * A core consumes decoded warp instructions from an InstSource.  Two
- * implementations ship with tenoc:
- *  - ProfileInstSource: draws instructions from a statistical
- *    KernelProfile (the Table I synthetic suite; DESIGN.md
- *    "Substitutions"),
- *  - TraceInstSource: replays a per-warp instruction trace, enabling
- *    fully structural simulation (real-tag caches) from user-provided
- *    traces.
+ * A core consumes decoded warp instructions drawn from a statistical
+ * KernelProfile (the Table I synthetic suite; DESIGN.md
+ * "Substitutions").
  */
 
 #ifndef TENOC_GPU_INST_SOURCE_HH
 #define TENOC_GPU_INST_SOURCE_HH
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -30,42 +23,8 @@ namespace tenoc
 class SnapshotWriter;
 class SnapshotReader;
 
-/** Produces decoded warp instructions. */
-class InstSource
-{
-  public:
-    virtual ~InstSource() = default;
-
-    /** Number of resident warps this kernel wants (pre-clamp). */
-    virtual unsigned numWarps() const = 0;
-
-    /** Instructions warp `warp` executes before retiring. */
-    virtual std::uint64_t warpLength(unsigned warp) const = 0;
-
-    /**
-     * Decodes warp `warp`'s next instruction into `out` (valid is set
-     * by the caller).  Called exactly warpLength(warp) times per warp,
-     * in program order per warp.
-     */
-    virtual void decode(unsigned warp, Warp::PendingInst &out,
-                        Rng &rng) = 0;
-
-    /**
-     * Prepares the source for the next kernel launch.  Statistical
-     * sources keep streaming (fresh data per launch); trace sources
-     * rewind and replay.
-     */
-    virtual void rewind() {}
-
-    /** Serializes the source's dynamic position (default: none). */
-    virtual void save(SnapshotWriter &w) const { (void)w; }
-
-    /** Restores state written by save(). */
-    virtual void restore(SnapshotReader &r) { (void)r; }
-};
-
-/** Statistical source driven by a KernelProfile. */
-class ProfileInstSource : public InstSource
+/** Statistical instruction source driven by a KernelProfile. */
+class ProfileInstSource
 {
   public:
     /**
@@ -79,51 +38,28 @@ class ProfileInstSource : public InstSource
                       unsigned num_warps, unsigned line_bytes,
                       unsigned warp_size);
 
-    unsigned numWarps() const override;
-    std::uint64_t warpLength(unsigned warp) const override;
-    void decode(unsigned warp, Warp::PendingInst &out,
-                Rng &rng) override;
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    /** Number of resident warps. */
+    unsigned numWarps() const;
+
+    /** Instructions warp `warp` executes before retiring. */
+    std::uint64_t warpLength(unsigned warp) const;
+
+    /**
+     * Decodes warp `warp`'s next instruction into `out` (valid is set
+     * by the caller).
+     */
+    void decode(unsigned warp, Warp::PendingInst &out, Rng &rng);
+
+    /** Serializes the address-stream positions. */
+    void save(SnapshotWriter &w) const;
+
+    /** Restores state written by save(). */
+    void restore(SnapshotReader &r);
 
   private:
     const KernelProfile &profile_;
     Coalescer coalescer_;
     std::vector<AddressStream> streams_;
-};
-
-/**
- * Trace replay source.
- *
- * Trace format (text; '#' comments):
- *   <warp> A                  one ALU instruction
- *   <warp> L <addr> [...]     load touching the given line addresses
- *   <warp> S <addr> [...]     store touching the given line addresses
- * Addresses may be decimal or 0x-prefixed hex; they are line-aligned
- * by the core's L1.  Warps are dense indices starting at 0.
- */
-class TraceInstSource : public InstSource
-{
-  public:
-    /** Parses a trace from text; fatal() on malformed input. */
-    static std::unique_ptr<TraceInstSource>
-    fromText(const std::string &text);
-
-    /** Loads a trace file; fatal() if unreadable. */
-    static std::unique_ptr<TraceInstSource>
-    fromFile(const std::string &path);
-
-    unsigned numWarps() const override;
-    std::uint64_t warpLength(unsigned warp) const override;
-    void decode(unsigned warp, Warp::PendingInst &out,
-                Rng &rng) override;
-    void rewind() override;
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
-
-  private:
-    std::vector<std::vector<Warp::PendingInst>> per_warp_;
-    std::vector<std::size_t> cursor_;
 };
 
 } // namespace tenoc

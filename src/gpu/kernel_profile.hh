@@ -67,14 +67,6 @@ struct KernelProfile
     /** Random-jump footprint per warp, in bytes. */
     std::uint64_t footprintBytes = 4ull << 20;
 
-    /**
-     * Use real tag-array caches (L1 and L2) instead of the profile
-     * locality mode.  The statistical hit rates are then ignored;
-     * locality is whatever the address stream produces.  Primarily
-     * for trace replay (TraceInstSource).
-     */
-    bool realCaches = false;
-
     /** Total warp instructions across the whole chip. */
     std::uint64_t
     totalWarpInsts(unsigned num_cores) const

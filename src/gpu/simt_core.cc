@@ -5,6 +5,8 @@
 
 #include "gpu/simt_core.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "common/snapshot.hh"
 
@@ -22,13 +24,8 @@ l1Params(const KernelProfile &profile, unsigned line_bytes)
     p.sizeBytes = 16 * 1024; // Table II
     p.lineBytes = line_bytes;
     p.ways = 4;
-    if (profile.realCaches) {
-        p.mode = CacheParams::Mode::REAL;
-    } else {
-        p.mode = CacheParams::Mode::PROFILE;
-        p.profileHitRate = profile.l1HitRate;
-        p.profileWritebackRate = profile.writebackRate;
-    }
+    p.profileHitRate = profile.l1HitRate;
+    p.profileWritebackRate = profile.writebackRate;
     return p;
 }
 
@@ -36,30 +33,21 @@ l1Params(const KernelProfile &profile, unsigned line_bytes)
 
 SimtCore::SimtCore(unsigned id, const SimtCoreParams &params,
                    const KernelProfile &profile, CoreMemPort &port,
-                   std::uint64_t seed,
-                   std::unique_ptr<InstSource> source)
+                   std::uint64_t seed)
     : id_(id), params_(params), profile_(profile), port_(port),
       rng_(seed ^ (0x5851f42d4c957f2dULL * (id + 1))),
       l1_(l1Params(profile, params.lineBytes), seed + id),
-      mshrs_(params.mshrEntries), source_(std::move(source))
+      mshrs_(params.mshrEntries),
+      source_(profile, id,
+              std::min(profile.warpsPerCore, params.maxWarps),
+              params.lineBytes, params.warpSize)
 {
-    unsigned want_warps;
-    if (source_) {
-        want_warps = source_->numWarps();
-    } else {
-        want_warps = profile_.warpsPerCore;
-    }
-    const unsigned warps = std::min(want_warps, params_.maxWarps);
+    const unsigned warps = source_.numWarps();
     tenoc_assert(warps >= 1, "kernel needs at least one warp");
-    if (!source_) {
-        source_ = std::make_unique<ProfileInstSource>(
-            profile_, id_, warps, params_.lineBytes,
-            params_.warpSize);
-    }
     warps_.resize(warps);
     for (unsigned w = 0; w < warps; ++w) {
         warps_[w].id = w;
-        warps_[w].instsRemaining = source_->warpLength(w);
+        warps_[w].instsRemaining = source_.warpLength(w);
         if (warps_[w].instsRemaining == 0) {
             warps_[w].state = Warp::State::DONE;
             ++warps_done_;
@@ -72,16 +60,15 @@ void
 SimtCore::restart()
 {
     tenoc_assert(done(), "restart before the previous kernel retired");
-    tenoc_assert(mshrs_.size() == 0 && pending_writebacks_.empty(),
+    tenoc_assert(mshrs_.size() == 0,
                  "restart with memory traffic in flight");
-    source_->rewind();
     warps_done_ = 0;
     rr_warp_ = 0;
     slot_countdown_ = params_.issueInterval();
     stall_memo_ = false;
     for (auto &warp : warps_) {
         warp.state = Warp::State::READY;
-        warp.instsRemaining = source_->warpLength(warp.id);
+        warp.instsRemaining = source_.warpLength(warp.id);
         warp.pendingReplies = 0;
         warp.next = Warp::PendingInst{};
         if (warp.instsRemaining == 0) {
@@ -94,13 +81,6 @@ SimtCore::restart()
 void
 SimtCore::cycle(Cycle core_cycle)
 {
-    // Retry dirty-victim writebacks that found the port full (these
-    // may outlive the warps that caused them).
-    while (!pending_writebacks_.empty() && port_.requestSpace() >= 1) {
-        port_.sendWrite(pending_writebacks_.front());
-        pending_writebacks_.pop_front();
-        ++writes_sent_;
-    }
     if (done())
         return;
     if (--slot_countdown_ > 0)
@@ -130,7 +110,7 @@ SimtCore::issueSlot(Cycle core_cycle)
         // Decode once; a structurally stalled instruction is retried
         // as-is so congestion cannot bias the instruction mix.
         if (!warp.next.valid) {
-            source_->decode(w, warp.next, rng_);
+            source_.decode(w, warp.next, rng_);
             warp.next.valid = true;
         }
         if (warp.next.isMem) {
@@ -204,10 +184,9 @@ SimtCore::executeMemInst(Warp &warp)
     if (!memInstFits(warp))
         return false;
 
-    const bool is_store = warp.next.isStore;
     for (Addr raw : warp.next.lines) {
         const Addr line = l1_.lineAddr(raw);
-        const auto res = l1_.access(line, is_store);
+        const auto res = l1_.access(line);
         if (res.hit)
             continue;
         if (res.writeback) {
@@ -221,8 +200,6 @@ SimtCore::executeMemInst(Warp &warp)
             port_.sendRead(line);
             ++reads_sent_;
         }
-        if (is_store)
-            pending_store_lines_.insert(line);
         ++warp.pendingReplies;
     }
     if (warp.pendingReplies >= profile_.maxPendingLines)
@@ -234,22 +211,6 @@ void
 SimtCore::onReadReply(Addr line)
 {
     stall_memo_ = false;
-    // Real-tag mode: install the line; a dirty victim becomes a write
-    // request (queued if the injection port is momentarily full).
-    if (l1_.params().mode == CacheParams::Mode::REAL) {
-        const bool dirty = pending_store_lines_.erase(line) > 0;
-        if (const auto wb = l1_.fill(line, dirty)) {
-            if (port_.requestSpace() >= 1) {
-                port_.sendWrite(*wb);
-                ++writes_sent_;
-            } else {
-                pending_writebacks_.push_back(*wb);
-            }
-        }
-    } else {
-        pending_store_lines_.erase(line);
-    }
-
     for (std::uint64_t waiter : mshrs_.release(line)) {
         auto &warp = warps_[static_cast<std::size_t>(waiter)];
         tenoc_assert(warp.pendingReplies > 0,
@@ -300,7 +261,7 @@ SimtCore::save(SnapshotWriter &w) const
         w.u64(s);
     l1_.save(w);
     mshrs_.save(w);
-    source_->save(w);
+    source_.save(w);
     w.u64(warps_.size());
     for (const Warp &warp : warps_) {
         w.u8(static_cast<std::uint8_t>(warp.state));
@@ -313,12 +274,6 @@ SimtCore::save(SnapshotWriter &w) const
         for (const Addr line : warp.next.lines)
             w.u64(line);
     }
-    w.u64(pending_store_lines_.size());
-    for (const Addr line : pending_store_lines_)
-        w.u64(line);
-    w.u64(pending_writebacks_.size());
-    for (const Addr line : pending_writebacks_)
-        w.u64(line);
     w.u32(rr_warp_);
     w.u32(slot_countdown_);
     w.u64(warps_done_);
@@ -341,7 +296,7 @@ SimtCore::restore(SnapshotReader &r)
     rng_.setState(st);
     l1_.restore(r);
     mshrs_.restore(r);
-    source_->restore(r);
+    source_.restore(r);
     const std::uint64_t nwarps = r.u64();
     tenoc_assert(nwarps == warps_.size(),
                  "warp count mismatch in snapshot");
@@ -357,14 +312,6 @@ SimtCore::restore(SnapshotReader &r)
         for (std::uint64_t i = 0; i < nlines; ++i)
             warp.next.lines.push_back(r.u64());
     }
-    pending_store_lines_.clear();
-    const std::uint64_t nstore = r.u64();
-    for (std::uint64_t i = 0; i < nstore; ++i)
-        pending_store_lines_.insert(r.u64());
-    pending_writebacks_.clear();
-    const std::uint64_t nwb = r.u64();
-    for (std::uint64_t i = 0; i < nwb; ++i)
-        pending_writebacks_.push_back(r.u64());
     rr_warp_ = r.u32();
     slot_countdown_ = r.u32();
     warps_done_ = static_cast<std::size_t>(r.u64());

@@ -4,8 +4,8 @@
  *
  * 8-wide SIMD pipeline executing 32-thread warps over four core
  * cycles; a dispatch queue of up to 32 ready warps; memory divergence
- * detection / coalescing; an L1 data cache (profile-locality mode for
- * the synthetic workloads) with a 64-entry MSHR table.  Global loads
+ * detection / coalescing; a profile-locality L1 data cache with a
+ * 64-entry MSHR table.  Global loads
  * that miss L1 send read requests into the NoC and block their warp
  * until the read reply returns; dirty evictions send write requests
  * (the paper's core->MC traffic is read requests plus less-frequent
@@ -16,9 +16,6 @@
 #define TENOC_GPU_SIMT_CORE_HH
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <set>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -71,25 +68,22 @@ class SimtCore
     /**
      * @param id core index (address-space base derives from it)
      * @param params core configuration
-     * @param profile kernel profile (cache config, MLP; and the
-     *        instruction statistics when no explicit source is given)
+     * @param profile kernel profile (instruction statistics, cache
+     *        locality, MLP)
      * @param port memory system access
      * @param seed deterministic RNG seed
-     * @param source optional instruction source (e.g. a trace);
-     *        defaults to a ProfileInstSource over `profile`
      */
     SimtCore(unsigned id, const SimtCoreParams &params,
              const KernelProfile &profile, CoreMemPort &port,
-             std::uint64_t seed,
-             std::unique_ptr<InstSource> source = nullptr);
+             std::uint64_t seed);
 
     /** Advances one core clock. */
     void cycle(Cycle core_cycle);
 
     /**
-     * Starts the next kernel launch: rewinds the instruction source
-     * and re-arms every warp.  Caches stay warm (as on real GPUs);
-     * all MSHRs must have drained (global launch barrier).
+     * Starts the next kernel launch: re-arms every warp.  The address
+     * streams keep advancing (fresh data per launch); all MSHRs must
+     * have drained (global launch barrier).
      */
     void restart();
 
@@ -98,9 +92,6 @@ class SimtCore
 
     /** @return true when every warp has retired. */
     bool done() const { return warps_done_ == warps_.size(); }
-
-    /** @return true when no queued writebacks remain to be sent. */
-    bool flushed() const { return pending_writebacks_.empty(); }
 
     // --- stats ---
     std::uint64_t scalarInsts() const { return scalar_insts_; }
@@ -116,7 +107,7 @@ class SimtCore
     /** Registers the core's statistics under `group`. */
     void registerStats(StatGroup &group) const;
 
-    /** Serializes warps, caches, MSHRs, RNG, and the inst source. */
+    /** Serializes warps, the L1, MSHRs, RNG, and the inst source. */
     void save(SnapshotWriter &w) const;
 
     /** Restores state written by save(); warp count must match. */
@@ -150,14 +141,9 @@ class SimtCore
 
     Cache l1_;
     MshrTable mshrs_;
-    std::unique_ptr<InstSource> source_;
+    ProfileInstSource source_;
 
     std::vector<Warp> warps_;
-    /** Lines whose pending refill was triggered by a store
-     *  (write-allocate dirtiness for real-tag caches). */
-    std::set<Addr> pending_store_lines_;
-    /** Dirty victims waiting for injection-queue space. */
-    std::deque<Addr> pending_writebacks_;
     unsigned rr_warp_ = 0;
     unsigned slot_countdown_ = 0;
     std::size_t warps_done_ = 0;

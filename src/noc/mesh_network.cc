@@ -680,7 +680,8 @@ MeshNetwork::drained() const
     return inflight_ == 0;
 }
 
-DoubleNetwork::DoubleNetwork(const MeshNetworkParams &base)
+MeshNetworkParams
+DoubleNetwork::sliceParams(const MeshNetworkParams &base)
 {
     MeshNetworkParams slice = base;
     if (base.flitBytes < 2 || base.flitBytes % 2 != 0) {
@@ -696,6 +697,12 @@ DoubleNetwork::DoubleNetwork(const MeshNetworkParams &base)
     // See DESIGN.md: our flit-level wormhole router needs the extra
     // lanes to reach BookSim-like utilization on half-width worms.
     slice.vcsPerClass = base.vcsPerClass * 2;
+    return slice;
+}
+
+DoubleNetwork::DoubleNetwork(const MeshNetworkParams &base)
+{
+    const MeshNetworkParams slice = sliceParams(base);
 
     stats_ = std::make_unique<NetStats>(
         base.topo.rows * base.topo.cols);

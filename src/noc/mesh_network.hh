@@ -285,10 +285,17 @@ class DoubleNetwork : public Network
 {
   public:
     /**
-     * Builds two slices from `base`: channel width halved, protocol
-     * classes dropped to 1 per slice.
+     * Builds two slices from `base` (see sliceParams()); the MC
+     * terminal ports differ per slice.
      */
     explicit DoubleNetwork(const MeshNetworkParams &base);
+
+    /**
+     * Parameters shared by both slices: channel width halved,
+     * protocol classes dropped to 1, lanes per class doubled.
+     * fatal() unless `base.flitBytes` is even.
+     */
+    static MeshNetworkParams sliceParams(const MeshNetworkParams &base);
 
     const Topology &topology() const override
     {

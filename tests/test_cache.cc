@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the set-associative cache (real and profile modes).
+ * Tests for the profile-locality cache.
  */
 
 #include <gtest/gtest.h>
@@ -29,85 +29,34 @@ TEST(Cache, GeometryComputed)
     EXPECT_EQ(c.lineAddr(0x12345), 0x12340ull & ~0x3full);
 }
 
-TEST(Cache, MissThenFillThenHit)
-{
-    Cache c(smallCache());
-    EXPECT_FALSE(c.access(0x1000, false).hit);
-    EXPECT_FALSE(c.probe(0x1000));
-    c.fill(0x1000, false);
-    EXPECT_TRUE(c.probe(0x1000));
-    EXPECT_TRUE(c.access(0x1000, false).hit);
-    EXPECT_EQ(c.hits(), 1u);
-    EXPECT_EQ(c.misses(), 1u);
-}
-
-TEST(Cache, LruEviction)
-{
-    Cache c(smallCache());
-    // Fill all 4 ways of set 0 (stride = sets * line = 256).
-    for (Addr i = 0; i < 4; ++i)
-        c.fill(i * 256, false);
-    // Touch line 0 so line 256 becomes LRU.
-    EXPECT_TRUE(c.access(0, false).hit);
-    c.fill(4 * 256, false);
-    EXPECT_TRUE(c.probe(0));
-    EXPECT_FALSE(c.probe(256)); // evicted
-    EXPECT_TRUE(c.probe(4 * 256));
-}
-
 TEST(Cache, DirtyEvictionReturnsVictimAddress)
 {
-    Cache c(smallCache());
-    for (Addr i = 0; i < 4; ++i)
-        c.fill(i * 256, false);
-    EXPECT_TRUE(c.access(0, true).hit); // dirty line 0
-    for (Addr i = 1; i < 4; ++i)
-        c.access(i * 256, false); // freshen others; 0 becomes LRU
-    const auto wb = c.fill(4 * 256, false);
-    ASSERT_TRUE(wb.has_value());
-    EXPECT_EQ(*wb, 0u);
+    // Every access misses and evicts a dirty line: the victim is the
+    // access's line with the first tag bit flipped (same set).
+    CacheParams p = smallCache();
+    p.profileWritebackRate = 1.0;
+    Cache c(p);
+    const auto wb = c.access(0x1234);
+    EXPECT_FALSE(wb.hit);
+    ASSERT_TRUE(wb.writeback.has_value());
+    EXPECT_EQ(*wb.writeback, 0x1200u ^ (4u * 64u));
+    EXPECT_EQ(c.misses(), 1u);
 }
 
 TEST(Cache, CleanEvictionHasNoWriteback)
 {
     Cache c(smallCache());
-    for (Addr i = 0; i < 5; ++i) {
-        const auto wb = c.fill(i * 256, false);
-        EXPECT_FALSE(wb.has_value());
+    for (Addr i = 0; i < 100; ++i) {
+        const auto r = c.access(i * 256);
+        EXPECT_FALSE(r.hit);
+        EXPECT_FALSE(r.writeback.has_value());
     }
-}
-
-TEST(Cache, FillDirtyMarksLine)
-{
-    Cache c(smallCache());
-    c.fill(0x40, true);
-    for (Addr i = 1; i < 5; ++i)
-        c.fill(0x40 + i * 256, false);
-    // 0x40 was LRU and dirty -> the last fill must have written back.
-    EXPECT_FALSE(c.probe(0x40));
-}
-
-TEST(Cache, DuplicateFillRefreshes)
-{
-    Cache c(smallCache());
-    c.fill(0x80, false);
-    const auto wb = c.fill(0x80, true);
-    EXPECT_FALSE(wb.has_value());
-    EXPECT_TRUE(c.probe(0x80));
-}
-
-TEST(Cache, FlushInvalidatesEverything)
-{
-    Cache c(smallCache());
-    c.fill(0x100, true);
-    c.flush();
-    EXPECT_FALSE(c.probe(0x100));
+    EXPECT_EQ(c.misses(), 100u);
 }
 
 TEST(Cache, ProfileModeMatchesHitRate)
 {
     CacheParams p = smallCache();
-    p.mode = CacheParams::Mode::PROFILE;
     p.profileHitRate = 0.7;
     p.profileWritebackRate = 0.5;
     Cache c(p, 42);
@@ -115,7 +64,7 @@ TEST(Cache, ProfileModeMatchesHitRate)
     unsigned wbs = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
-        const auto r = c.access(static_cast<Addr>(i) * 64, false);
+        const auto r = c.access(static_cast<Addr>(i) * 64);
         hits += r.hit;
         wbs += r.writeback.has_value();
     }
@@ -123,16 +72,6 @@ TEST(Cache, ProfileModeMatchesHitRate)
     // Writebacks occur on half the misses.
     EXPECT_NEAR(wbs / double(n), 0.3 * 0.5, 0.02);
     EXPECT_NEAR(c.hitRate(), 0.7, 0.02);
-}
-
-TEST(Cache, ProfileModeFillIsNoop)
-{
-    CacheParams p = smallCache();
-    p.mode = CacheParams::Mode::PROFILE;
-    p.profileHitRate = 0.0;
-    Cache c(p);
-    EXPECT_FALSE(c.fill(0x40, true).has_value());
-    EXPECT_FALSE(c.probe(0x40));
 }
 
 TEST(CacheDeath, BadGeometryPanics)
@@ -149,19 +88,25 @@ class CacheGeometry
                                                  unsigned, unsigned>>
 {};
 
-TEST_P(CacheGeometry, FillsAndHitsWholeCapacity)
+TEST_P(CacheGeometry, VictimStaysInItsSet)
 {
     auto [size, line, ways] = GetParam();
     CacheParams p;
     p.sizeBytes = size;
     p.lineBytes = line;
     p.ways = ways;
+    p.profileWritebackRate = 1.0;
     Cache c(p);
-    const std::uint64_t lines = size / line;
-    for (std::uint64_t i = 0; i < lines; ++i)
-        c.fill(i * line, false);
-    for (std::uint64_t i = 0; i < lines; ++i)
-        EXPECT_TRUE(c.access(i * line, false).hit);
+    const std::uint64_t sets = size / line / ways;
+    EXPECT_EQ(c.numSets(), sets);
+    for (Addr a = 0; a < 4 * size; a += line / 2 + 8) {
+        const auto r = c.access(a);
+        ASSERT_TRUE(r.writeback.has_value());
+        const Addr victim = *r.writeback;
+        EXPECT_EQ(victim % line, 0u);
+        EXPECT_NE(victim, c.lineAddr(a));
+        EXPECT_EQ(victim / line % sets, a / line % sets);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,12 +1,10 @@
 /**
  * @file
- * Tests for instruction sources (profile statistics and trace replay)
- * and the real-tag-cache closed-loop mode.
+ * Tests for the profile instruction source.
  */
 
 #include <gtest/gtest.h>
 
-#include "accel/experiments.hh"
 #include "gpu/inst_source.hh"
 
 namespace tenoc
@@ -42,140 +40,6 @@ TEST(ProfileInstSource, MatchesProfileStatistics)
     }
     EXPECT_NEAR(mem / double(n), 0.3, 0.02);
     EXPECT_NEAR(stores / double(mem), 0.2, 0.03);
-}
-
-TEST(TraceInstSource, ParsesAllOps)
-{
-    auto src = TraceInstSource::fromText(
-        "# demo trace\n"
-        "0 A\n"
-        "0 L 0x100 0x200\n"
-        "1 S 4096\n"
-        "\n"
-        "0 A   # trailing comment\n");
-    EXPECT_EQ(src->numWarps(), 2u);
-    EXPECT_EQ(src->warpLength(0), 3u);
-    EXPECT_EQ(src->warpLength(1), 1u);
-
-    Rng rng(1);
-    Warp::PendingInst inst;
-    src->decode(0, inst, rng);
-    EXPECT_FALSE(inst.isMem);
-    src->decode(0, inst, rng);
-    EXPECT_TRUE(inst.isMem);
-    EXPECT_FALSE(inst.isStore);
-    ASSERT_EQ(inst.lines.size(), 2u);
-    EXPECT_EQ(inst.lines[0], 0x100u);
-    EXPECT_EQ(inst.lines[1], 0x200u);
-    src->decode(1, inst, rng);
-    EXPECT_TRUE(inst.isStore);
-    EXPECT_EQ(inst.lines[0], 4096u);
-}
-
-TEST(TraceInstSourceDeath, MalformedTracesAreFatal)
-{
-    EXPECT_EXIT(TraceInstSource::fromText("0 X\n"),
-                ::testing::ExitedWithCode(1), "unknown op");
-    EXPECT_EXIT(TraceInstSource::fromText("0 L\n"),
-                ::testing::ExitedWithCode(1), "without addresses");
-    EXPECT_EXIT(TraceInstSource::fromText("0 L zzz\n"),
-                ::testing::ExitedWithCode(1), "bad address");
-    EXPECT_EXIT(TraceInstSource::fromText("# nothing\n"),
-                ::testing::ExitedWithCode(1), "no instructions");
-    EXPECT_EXIT(TraceInstSource::fromFile("/no/such/trace"),
-                ::testing::ExitedWithCode(1), "cannot open");
-}
-
-TEST(TraceReplay, ClosedLoopWithRealCaches)
-{
-    // Two warps streaming disjoint lines plus a shared reused line.
-    std::string text;
-    for (int i = 0; i < 40; ++i) {
-        for (unsigned w = 0; w < 2; ++w) {
-            text += std::to_string(w) + " L " +
-                std::to_string((i * 2 + w) * 64) + "\n";
-            text += std::to_string(w) + " A\n";
-            text += std::to_string(w) + " L 8192\n"; // hot line
-        }
-    }
-    KernelProfile profile;
-    profile.abbr = "TRC";
-    profile.realCaches = true;
-    profile.maxPendingLines = 4;
-
-    Chip chip(makeConfig(ConfigId::BASELINE_TB_DOR), profile,
-              [&](unsigned) { return TraceInstSource::fromText(text); });
-    const auto r = chip.run();
-    EXPECT_FALSE(r.timedOut);
-    // 28 cores x 2 warps x 120 insts x 32 threads.
-    EXPECT_EQ(r.scalarInsts, 28ull * 240 * 32);
-    EXPECT_GT(r.ipc, 1.0);
-}
-
-TEST(TraceReplay, HotLineHitsInRealL1)
-{
-    // All loads to one line: after the first miss per core, everything
-    // hits in the real L1, so network traffic stays tiny.
-    std::string text;
-    for (int i = 0; i < 100; ++i)
-        text += "0 L 4096\n";
-    KernelProfile profile;
-    profile.realCaches = true;
-    profile.maxPendingLines = 1;
-
-    Chip chip(makeConfig(ConfigId::BASELINE_TB_DOR), profile,
-              [&](unsigned) { return TraceInstSource::fromText(text); });
-    const auto r = chip.run();
-    EXPECT_FALSE(r.timedOut);
-    // One read request + one reply per core, nothing else.
-    EXPECT_EQ(r.packetsEjected, 2ull * 28);
-}
-
-TEST(TraceInstSource, RewindReplaysFromTheStart)
-{
-    auto src = TraceInstSource::fromText("0 A\n0 L 64\n");
-    Rng rng(1);
-    Warp::PendingInst inst;
-    src->decode(0, inst, rng);
-    src->decode(0, inst, rng);
-    EXPECT_TRUE(inst.isMem);
-    src->rewind();
-    src->decode(0, inst, rng);
-    EXPECT_FALSE(inst.isMem); // back at the first instruction
-}
-
-TEST(TraceReplay, MultiKernelRewindsTrace)
-{
-    std::string text;
-    for (int i = 0; i < 30; ++i)
-        text += "0 L " + std::to_string(i * 64) + "\n";
-    KernelProfile profile;
-    profile.realCaches = true;
-    profile.maxPendingLines = 4;
-    profile.numKernels = 3;
-    Chip chip(makeConfig(ConfigId::BASELINE_TB_DOR), profile,
-              [&](unsigned) { return TraceInstSource::fromText(text); });
-    const auto r = chip.run();
-    EXPECT_FALSE(r.timedOut);
-    EXPECT_EQ(r.scalarInsts, 3ull * 28 * 30 * 32);
-}
-
-TEST(TraceReplay, DeterministicAcrossRuns)
-{
-    std::string text;
-    for (int i = 0; i < 50; ++i)
-        text += "0 L " + std::to_string(i * 64) + "\n0 A\n";
-    KernelProfile profile;
-    profile.realCaches = true;
-
-    auto run_once = [&] {
-        Chip chip(makeConfig(ConfigId::CP_CR_4VC), profile,
-                  [&](unsigned) {
-                      return TraceInstSource::fromText(text);
-                  });
-        return chip.run().coreCycles;
-    };
-    EXPECT_EQ(run_once(), run_once());
 }
 
 } // namespace

@@ -57,7 +57,6 @@ McNodeParams
 mcParams(double l2_hit = 0.0)
 {
     McNodeParams p;
-    p.l2.mode = CacheParams::Mode::PROFILE;
     p.l2.profileHitRate = l2_hit;
     p.l2.sizeBytes = 128 * 1024;
     p.l2.ways = 8;

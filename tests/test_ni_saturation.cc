@@ -147,43 +147,49 @@ baseParams(std::uint64_t seed)
 
 constexpr Cycle SAT_CYCLES = 1200;
 
-/** (seed, idleSkip, sliced, faults) toggle cross. */
+/**
+ * Saturates `p` under full-tick and idle-skip; expects equal runs.
+ * Slicing is a topology axis, not a results-preserving toggle (a
+ * DoubleNetwork is two half-width physical networks), so both runs
+ * share it and only the scheduler differs.
+ */
+void
+expectSchedulersAgree(MeshNetworkParams p, std::uint64_t seed,
+                      bool sliced = false)
+{
+    p.idleSkip = false;
+    const RunResult full = saturate(p, sliced, seed, SAT_CYCLES);
+    p.idleSkip = true;
+    const RunResult skip = saturate(p, sliced, seed, SAT_CYCLES);
+    expectRunsEqual(full, skip);
+}
+
+/** (seed, sliced, faults) cross. */
 class NiSaturationEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, bool, bool, bool>>
+          std::tuple<std::uint64_t, bool, bool>>
 {};
 
 TEST_P(NiSaturationEquivalence, MatchesReferenceScheduler)
 {
-    const auto [seed, idle_skip, sliced, faults] = GetParam();
-
-    MeshNetworkParams ref = baseParams(seed);
-    ref.idleSkip = false;
+    const auto [seed, sliced, faults] = GetParam();
+    MeshNetworkParams p = baseParams(seed);
     if (faults) {
-        ref.faults.linkStallRate = 1e-3;
-        ref.faults.linkStallDuration = 8;
-        ref.faults.seed = seed * 7 + 1;
+        p.faults.linkStallRate = 1e-3;
+        p.faults.linkStallDuration = 8;
+        p.faults.seed = seed * 7 + 1;
     }
-
-    MeshNetworkParams toggled = ref;
-    toggled.idleSkip = idle_skip;
-
-    // Slicing is a topology axis, not a results-preserving toggle
-    // (a DoubleNetwork is two half-width physical networks), so the
-    // reference run shares it and only the scheduler toggles differ.
-    const RunResult a = saturate(ref, sliced, seed, SAT_CYCLES);
-    const RunResult b = saturate(toggled, sliced, seed, SAT_CYCLES);
-    expectRunsEqual(a, b);
+    expectSchedulersAgree(p, seed, sliced);
 }
 
 std::string
 satCaseName(const ::testing::TestParamInfo<
-            std::tuple<std::uint64_t, bool, bool, bool>> &info)
+            std::tuple<std::uint64_t, bool, bool>> &info)
 {
-    const auto [seed, idle_skip, sliced, faults] = info.param;
-    std::string s = idle_skip ? "skip" : "full";
-    s += sliced ? "_double" : "_single";
-    // "t1" (one cycle thread) keeps the established case ids stable.
+    const auto [seed, sliced, faults] = info.param;
+    // "skip_" (the toggled scheduler) and "_t1" (one cycle thread)
+    // keep the established case ids stable.
+    std::string s = sliced ? "skip_double" : "skip_single";
     s += "_t1";
     s += faults ? "_faults_" : "_clean_";
     s += std::to_string(seed);
@@ -193,20 +199,8 @@ satCaseName(const ::testing::TestParamInfo<
 INSTANTIATE_TEST_SUITE_P(
     ToggleCross, NiSaturationEquivalence,
     ::testing::Combine(::testing::Values<std::uint64_t>(11),
-                       ::testing::Bool(), ::testing::Bool(),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Bool()),
     satCaseName);
-
-/** Saturates `p` under full-tick and idle-skip; expects equal runs. */
-void
-expectSchedulersAgree(MeshNetworkParams p, std::uint64_t seed)
-{
-    p.idleSkip = false;
-    const RunResult full = saturate(p, false, seed, SAT_CYCLES);
-    p.idleSkip = true;
-    const RunResult skip = saturate(p, false, seed, SAT_CYCLES);
-    expectRunsEqual(full, skip);
-}
 
 TEST(NiSaturation, ArrivalSleepInvariantUnderBackpressure)
 {

@@ -240,6 +240,24 @@ TEST(Snapshot, RejectsWrongFormatVersion)
         << error;
 }
 
+TEST(Snapshot, RejectsFormatVersion3Blob)
+{
+    // Format 3 still carried tag arrays, store-line sets, writeback
+    // queues and trace cursors per core; such a blob must be refused
+    // up front, not misparsed.
+    SnapshotWriter w;
+    w.u32(7);
+    auto blob = sealSnapshot(w);
+    blob[4] = 3; // format version field (after the magic), little-endian
+    blob[5] = blob[6] = blob[7] = 0;
+
+    SnapshotReader r;
+    std::string error;
+    EXPECT_FALSE(openSnapshot(blob, r, &error));
+    EXPECT_EQ(error, "snapshot format version 3 incompatible with this"
+                     " build (expects 4)");
+}
+
 TEST(Snapshot, RejectsWrongSimulatorVersion)
 {
     SnapshotWriter w;
