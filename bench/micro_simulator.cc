@@ -10,16 +10,20 @@
  * flags (--stats-json / --stats-csv / --interval-csv / --trace, see
  * docs/telemetry.md) attach sinks to that run; when any is given the
  * google-benchmark suite is skipped so the telemetry files are the
- * run's product.
+ * run's product.  --profile splits the run's wall time across the SIMT
+ * cores, MC/L2, DRAM and the network, prints the split and adds it to
+ * BENCH_telemetry.json; it skips the suite too.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "accel/experiments.hh"
 #include "common/config.hh"
@@ -162,8 +166,8 @@ parseCheckpointCycle(const std::string &value)
  *  @return false if the run hit its cycle cap (likely deadlock; the
  *  chip printed a diagnostic snapshot). */
 bool
-runTelemetryHarness(telemetry::TelemetryConfig cfg,
-                    const RunOptions &opts)
+runTelemetryHarness(telemetry::TelemetryConfig cfg, RunOptions opts,
+                    bool profile)
 {
     const char *workload = "MM";
     const double scale = envScale(0.05);
@@ -180,6 +184,9 @@ runTelemetryHarness(telemetry::TelemetryConfig cfg,
     telemetry::TelemetryHub hub(cfg);
     const auto prof = scaleWorkload(findWorkload(workload), scale);
 
+    ChipLayerProfile layers;
+    if (profile)
+        opts.layerProfile = &layers;
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = runWorkload(
         makeConfig(ConfigId::BASELINE_TB_DOR), prof, &hub, opts);
@@ -198,16 +205,36 @@ runTelemetryHarness(telemetry::TelemetryConfig cfg,
     doc.set("wall_seconds", telemetry::JsonValue(wall));
     doc.set("sim_cycles_per_second", telemetry::JsonValue(rate));
     doc.set("ipc", telemetry::JsonValue(result.ipc));
-    std::ofstream os("BENCH_telemetry.json");
-    doc.write(os);
-    os << "\n";
-
     std::fprintf(stderr,
                  "[micro_simulator] %s scale %.2f: %llu icnt cycles "
                  "in %.2fs (%.0f cycles/s)\n",
                  workload, scale,
                  static_cast<unsigned long long>(result.icntCycles),
                  wall, rate);
+    if (profile) {
+        const std::pair<const char *, std::uint64_t> split[] = {
+            {"cores_s", layers.coresNs},
+            {"mc_l2_s", layers.mcL2Ns},
+            {"dram_s", layers.dramNs},
+            {"network_s", layers.networkNs},
+        };
+        telemetry::JsonValue lp = telemetry::JsonValue::makeObject();
+        double rest = wall;
+        std::fprintf(stderr, "[micro_simulator] layer split:");
+        for (const auto &[name, ns] : split) {
+            const double sec = static_cast<double>(ns) * 1e-9;
+            rest -= sec;
+            lp.set(name, telemetry::JsonValue(sec));
+            std::fprintf(stderr, " %s %.4f", name, sec);
+        }
+        lp.set("rest_s", telemetry::JsonValue(rest));
+        std::fprintf(stderr, " rest_s %.4f\n", rest);
+        doc.set("layer_profile", std::move(lp));
+    }
+    std::ofstream os("BENCH_telemetry.json");
+    doc.write(os);
+    os << "\n";
+
     if (result.timedOut) {
         std::fprintf(stderr,
                      "[micro_simulator] ERROR: run hit the icnt cycle "
@@ -246,9 +273,19 @@ main(int argc, char **argv)
         ckpt_flags = true;
     }
 
-    if (!runTelemetryHarness(cfg, opts))
+    bool profile = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) == "--profile") {
+            profile = true;
+            std::copy(argv + i + 1, argv + argc + 1, argv + i);
+            --argc;
+            break;
+        }
+    }
+
+    if (!runTelemetryHarness(cfg, opts, profile))
         return 2; // cycle-cap timeout: fail fast instead of reporting
-    if (cfg.any() || ckpt_flags)
+    if (cfg.any() || ckpt_flags || profile)
         return 0; // harness-only run; skip the benchmark suite
 
     benchmark::Initialize(&argc, argv);

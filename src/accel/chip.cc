@@ -6,6 +6,7 @@
 #include "accel/chip.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
@@ -256,12 +257,31 @@ Chip::allCoresDone() const
     return true;
 }
 
+template <typename F>
+void
+Chip::timeLayer(std::uint64_t ChipLayerProfile::*slot, F &&f)
+{
+    if (!layer_profile_) {
+        f();
+        return;
+    }
+    using Clock = std::chrono::steady_clock;
+    const auto t0 = Clock::now();
+    f();
+    layer_profile_->*slot += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now() - t0).count());
+}
+
 void
 Chip::icntTick()
 {
-    for (auto &mc : mcs_)
-        mc->icntCycle(icnt_now_);
-    net_->cycle(icnt_now_);
+    timeLayer(&ChipLayerProfile::mcL2Ns, [&] {
+        for (auto &mc : mcs_)
+            mc->icntCycle(icnt_now_);
+    });
+    timeLayer(&ChipLayerProfile::networkNs,
+              [&] { net_->cycle(icnt_now_); });
     ++icnt_now_;
     if (hub_)
         hub_->tick(icnt_now_);
@@ -270,16 +290,20 @@ Chip::icntTick()
 void
 Chip::coreTick()
 {
-    for (auto &c : cores_)
-        c->cycle(core_now_);
+    timeLayer(&ChipLayerProfile::coresNs, [&] {
+        for (auto &c : cores_)
+            c->cycle(core_now_);
+    });
     ++core_now_;
 }
 
 void
 Chip::memTick()
 {
-    for (auto &mc : mcs_)
-        mc->memCycle(mem_now_);
+    timeLayer(&ChipLayerProfile::dramNs, [&] {
+        for (auto &mc : mcs_)
+            mc->memCycle(mem_now_);
+    });
     ++mem_now_;
 }
 

@@ -50,6 +50,20 @@ struct ChipResult
     std::uint64_t packetsEjected = 0;
 };
 
+/**
+ * Host wall time of Chip::run split by layer, accumulated while
+ * attached (Chip::setLayerProfile, micro_simulator --profile).  What
+ * the four fields leave of a run's wall time is the clock loop, the
+ * quiescence checks and checkpoints.
+ */
+struct ChipLayerProfile
+{
+    std::uint64_t coresNs = 0;   ///< SIMT cores (every core's cycle)
+    std::uint64_t mcL2Ns = 0;    ///< MC/L2 (McNode::icntCycle)
+    std::uint64_t dramNs = 0;    ///< DRAM (McNode::memCycle)
+    std::uint64_t networkNs = 0; ///< the network's cycle
+};
+
 class Chip
 {
   public:
@@ -111,6 +125,14 @@ class Chip
     /** Full chip statistics hierarchy (root group "chip"). */
     const StatGroup &statGroup() const { return stats_root_; }
 
+    /** Accumulates run()'s host time per layer into `profile` (null
+     *  detaches; detached, the split costs one test per layer call). */
+    void
+    setLayerProfile(ChipLayerProfile *profile)
+    {
+        layer_profile_ = profile;
+    }
+
   private:
     class CorePort;
     class CoreSink;
@@ -121,6 +143,10 @@ class Chip
     void icntTick();
     void coreTick();
     void memTick();
+    /** Runs `f`, adding its host time to `slot` of the attached layer
+     *  profile, if any. */
+    template <typename F>
+    void timeLayer(std::uint64_t ChipLayerProfile::*slot, F &&f);
     bool allCoresDone() const;
     ChipResult collect(bool timed_out) const;
 
@@ -166,6 +192,7 @@ class Chip
     std::vector<std::unique_ptr<StatGroup>> dram_groups_;
 
     telemetry::TelemetryHub *hub_ = nullptr;
+    ChipLayerProfile *layer_profile_ = nullptr;
 };
 
 } // namespace tenoc

@@ -279,6 +279,13 @@ chipParamsFromConfig(const Config &cfg)
         cfg.getUint("mc.l2HitLatency", p.mc.l2HitLatency));
     p.mc.dram.queueCapacity = static_cast<unsigned>(
         cfg.getUint("dram.queueCapacity", p.mc.dram.queueCapacity));
+    if (p.mc.dram.queueCapacity < 1 ||
+        p.mc.dram.queueCapacity > DramChannel::MAX_QUEUE) {
+        tenoc_fatal("invalid DRAM config: dram.queueCapacity must lie in"
+                    " [1, ", DramChannel::MAX_QUEUE, "] (got ",
+                    p.mc.dram.queueCapacity, "); FR-FCFS indexes queue"
+                    " positions in one 64-bit word per bank");
+    }
     p.mc.dram.timing.numBanks = static_cast<unsigned>(
         cfg.getUint("dram.banks", p.mc.dram.timing.numBanks));
     p.mc.dram.timing.rowBytes = static_cast<unsigned>(

@@ -48,6 +48,7 @@ runWorkload(const ChipParams &params, const KernelProfile &profile,
     }
     if (hub)
         chip.attachTelemetry(*hub);
+    chip.setLayerProfile(opts.layerProfile);
     ChipResult result = chip.run();
     if (chip.checkpointPending())
         tenoc_fatal("run ended at icnt cycle ", result.icntCycles,

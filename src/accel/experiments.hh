@@ -29,7 +29,8 @@ ChipResult runWorkload(const ChipParams &params,
                        const KernelProfile &profile,
                        telemetry::TelemetryHub *hub);
 
-/** Checkpoint/restore options for one run (docs/robustness.md). */
+/** Options for one run: checkpoint/restore (docs/robustness.md) and
+ *  the host-time layer split. */
 struct RunOptions
 {
     /** Interconnect cycle to checkpoint at during the run (0 = off). */
@@ -38,6 +39,8 @@ struct RunOptions
     std::string checkpointOut;
     /** Snapshot file to resume from before running (empty = fresh). */
     std::string restoreFrom;
+    /** Receives the run's host time per layer (null = not split). */
+    ChipLayerProfile *layerProfile = nullptr;
 };
 
 /**

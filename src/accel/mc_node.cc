@@ -5,8 +5,6 @@
 
 #include "accel/mc_node.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "common/snapshot.hh"
 
@@ -69,16 +67,8 @@ McNode::icntCycle(Cycle icnt_now)
 
     // 3. Retry a request stalled on the DRAM queue.
     if (dram_wait_ && dram_.canAccept()) {
-        PacketPtr pkt = std::move(dram_wait_);
+        pushDram(*dram_wait_);
         dram_wait_.reset();
-        DramRequest req;
-        req.localAddr = compactAddress(pkt->addr, params_.numChannels,
-                                       params_.interleaveBytes);
-        req.write = (pkt->op == MemOp::WRITE_REQUEST);
-        req.tag = next_dram_tag_++;
-        dram_pending_[req.tag] =
-            PendingDram{pkt->src, pkt->addr, req.write};
-        dram_.push(std::move(req), mem_now_);
     }
 
     // 4. One L2 lookup per interconnect cycle.
@@ -109,18 +99,22 @@ McNode::icntCycle(Cycle icnt_now)
     }
 
     // L2 miss: go to DRAM (writes go straight to memory).
-    if (dram_.canAccept()) {
-        DramRequest req;
-        req.localAddr = compactAddress(pkt->addr, params_.numChannels,
-                                       params_.interleaveBytes);
-        req.write = is_write;
-        req.tag = next_dram_tag_++;
-        dram_pending_[req.tag] =
-            PendingDram{pkt->src, pkt->addr, is_write};
-        dram_.push(std::move(req), mem_now_);
-    } else {
+    if (dram_.canAccept())
+        pushDram(*pkt);
+    else
         dram_wait_ = std::move(pkt); // head-of-line: MC input blocked
-    }
+}
+
+void
+McNode::pushDram(const Packet &pkt)
+{
+    DramRequest req;
+    req.localAddr = compactAddress(pkt.addr, params_.numChannels,
+                                   params_.interleaveBytes);
+    req.write = (pkt.op == MemOp::WRITE_REQUEST);
+    req.requester = pkt.src;
+    req.addr = pkt.addr;
+    dram_.push(std::move(req), mem_now_);
 }
 
 void
@@ -132,22 +126,17 @@ McNode::memCycle(Cycle mem_now)
     // Read out completed requests while the reply path has room.
     while (reply_queue_.size() + l2_pipe_.size() <
            params_.replyQueueSoftCap) {
-        auto done = dram_.popCompleted();
+        const auto done = dram_.popCompleted();
         if (!done)
             break;
-        auto it = dram_pending_.find(done->tag);
-        tenoc_assert(it != dram_pending_.end(),
-                     "DRAM completed unknown tag");
-        const PendingDram meta = it->second;
-        dram_pending_.erase(it);
-        if (meta.write)
+        if (done->write)
             continue; // writes are fire-and-forget
         auto reply = makePacket();
         reply->src = node_;
-        reply->dst = meta.requester;
+        reply->dst = done->requester;
         reply->op = MemOp::READ_REPLY;
         reply->protoClass = 1;
-        reply->addr = meta.addr;
+        reply->addr = done->addr;
         reply->sizeFlits = net_.packetFlits(MemOp::READ_REPLY);
         reply->sizeBytes = memOpBytes(MemOp::READ_REPLY);
         reply_queue_.push_back(std::move(reply));
@@ -164,8 +153,7 @@ bool
 McNode::idle() const
 {
     return input_queue_.empty() && l2_pipe_.empty() &&
-        reply_queue_.empty() && dram_pending_.empty() && !dram_wait_ &&
-        dram_.idle();
+        reply_queue_.empty() && !dram_wait_ && dram_.idle();
 }
 
 void
@@ -199,22 +187,6 @@ McNode::save(SnapshotWriter &w) const
         savePacket(w, dr.pkt);
         w.u64(dr.readyAt);
     }
-    // Sorted by tag so the blob is independent of hash-map iteration
-    // order (identical state must hash to identical bytes).
-    std::vector<std::uint64_t> tags;
-    tags.reserve(dram_pending_.size());
-    for (const auto &[tag, pending] : dram_pending_)
-        tags.push_back(tag);
-    std::sort(tags.begin(), tags.end());
-    w.u64(tags.size());
-    for (const std::uint64_t tag : tags) {
-        const PendingDram &pending = dram_pending_.at(tag);
-        w.u64(tag);
-        w.u32(pending.requester);
-        w.u64(pending.addr);
-        w.boolean(pending.write);
-    }
-    w.u64(next_dram_tag_);
     w.boolean(dram_wait_ != nullptr);
     if (dram_wait_)
         savePacket(w, dram_wait_);
@@ -246,17 +218,6 @@ McNode::restore(SnapshotReader &r)
         dr.readyAt = r.u64();
         l2_pipe_.push_back(std::move(dr));
     }
-    dram_pending_.clear();
-    const std::uint64_t npend = r.u64();
-    for (std::uint64_t i = 0; i < npend; ++i) {
-        const std::uint64_t tag = r.u64();
-        PendingDram pending;
-        pending.requester = r.u32();
-        pending.addr = r.u64();
-        pending.write = r.boolean();
-        dram_pending_.emplace(tag, pending);
-    }
-    next_dram_tag_ = r.u64();
     dram_wait_.reset();
     if (r.boolean())
         dram_wait_ = loadPacket(r);

@@ -14,7 +14,6 @@
 #define TENOC_ACCEL_MC_NODE_HH
 
 #include <deque>
-#include <unordered_map>
 
 #include "cache/cache.hh"
 #include "dram/dram_channel.hh"
@@ -87,18 +86,22 @@ class McNode : public PacketSink
      *  registers its own under a child group). */
     void registerStats(StatGroup &group) const;
 
-    /** Serializes queues, L2, DRAM, and pending-request maps. */
+    /** Serializes queues, L2 and DRAM. */
     void save(SnapshotWriter &w) const;
 
     /** Restores state written by save(). */
     void restore(SnapshotReader &r);
 
-    /** Audits the DRAM channel's skipped cycles (see
+    /** Audits the DRAM channel's masks and skipped cycles (see
      *  DramChannel::setValidate). */
     void setValidate(bool on) { dram_.setValidate(on, index_); }
 
   private:
     void injectReply(PacketPtr reply, Cycle icnt_now);
+
+    /** Queues an L2 miss at the DRAM channel; the request carries
+     *  what its reply needs. */
+    void pushDram(const Packet &pkt);
 
     NodeId node_;
     unsigned index_;
@@ -117,16 +120,6 @@ class McNode : public PacketSink
         Cycle readyAt;
     };
     std::deque<DelayedReply> l2_pipe_;
-
-    /** Requests waiting on DRAM, keyed by tag. */
-    struct PendingDram
-    {
-        NodeId requester;
-        Addr addr;
-        bool write;
-    };
-    std::unordered_map<std::uint64_t, PendingDram> dram_pending_;
-    std::uint64_t next_dram_tag_ = 1;
 
     /** Head-of-line request stalled waiting for DRAM queue space. */
     PacketPtr dram_wait_;

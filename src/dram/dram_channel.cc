@@ -5,6 +5,8 @@
 
 #include "dram/dram_channel.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 #include "common/snapshot.hh"
 
@@ -14,11 +16,14 @@ namespace tenoc
 DramChannel::DramChannel(const DramChannelParams &params)
     : params_(params)
 {
-    tenoc_assert(params_.queueCapacity >= 1, "queue too small");
+    tenoc_assert(params_.queueCapacity >= 1 &&
+                 params_.queueCapacity <= MAX_QUEUE,
+                 "DRAM queue capacity must lie in [1, ", MAX_QUEUE, "]");
     tenoc_assert(params_.timing.numBanks >= 1 &&
-                 params_.timing.numBanks <= 32,
+                 params_.timing.numBanks <= MAX_BANKS,
                  "bank count must fit the scheduler's bank mask");
     banks_.assign(params_.timing.numBanks, DramBank(params_.timing));
+    queue_.reserve(params_.queueCapacity);
 }
 
 bool
@@ -33,8 +38,83 @@ DramChannel::push(DramRequest req, Cycle now)
     tenoc_assert(canAccept(), "DRAM queue overflow");
     req.arrival = now;
     req.coord = mapAddress(params_.timing, req.localAddr);
+    const unsigned b = req.coord.bank;
+    const std::uint64_t bit = std::uint64_t{1} << queue_.size();
+    masks_.requests[b] |= bit;
+    masks_.busy |= 1u << b;
+    const DramBank &bank = banks_[b];
+    if (bank.state() == DramBank::State::ACTIVE &&
+        bank.activeRow() == req.coord.row)
+        masks_.hits[b] |= bit;
     queue_.push_back(std::move(req));
     idle_until_ = 0;
+}
+
+void
+DramChannel::eraseAt(std::size_t pos)
+{
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pos));
+    const std::uint64_t below = (std::uint64_t{1} << pos) - 1;
+    const auto drop = [below](std::uint64_t m) {
+        return (m & below) | ((m >> 1) & ~below);
+    };
+    for (std::uint32_t bits = masks_.busy; bits; bits &= bits - 1) {
+        const auto b = static_cast<unsigned>(std::countr_zero(bits));
+        masks_.requests[b] = drop(masks_.requests[b]);
+        masks_.hits[b] = drop(masks_.hits[b]);
+        if (!masks_.requests[b])
+            masks_.busy &= ~(1u << b);
+    }
+}
+
+void
+DramChannel::rebuildHitMask(unsigned bank)
+{
+    const DramBank &bk = banks_[bank];
+    std::uint64_t hits = 0;
+    if (bk.state() == DramBank::State::ACTIVE) {
+        for (std::uint64_t m = masks_.requests[bank]; m; m &= m - 1) {
+            const auto pos = static_cast<unsigned>(std::countr_zero(m));
+            if (queue_[pos].coord.row == bk.activeRow())
+                hits |= std::uint64_t{1} << pos;
+        }
+    }
+    masks_.hits[bank] = hits;
+}
+
+DramChannel::Masks
+DramChannel::computeMasks() const
+{
+    Masks m;
+    for (std::size_t pos = 0; pos < queue_.size(); ++pos) {
+        const DramCoord &c = queue_[pos].coord;
+        const DramBank &bank = banks_[c.bank];
+        const std::uint64_t bit = std::uint64_t{1} << pos;
+        m.requests[c.bank] |= bit;
+        m.busy |= 1u << c.bank;
+        if (bank.state() == DramBank::State::ACTIVE &&
+            bank.activeRow() == c.row)
+            m.hits[c.bank] |= bit;
+    }
+    return m;
+}
+
+void
+DramChannel::auditMasks(Cycle now) const
+{
+    const Masks want = computeMasks();
+    for (unsigned b = 0; b < banks_.size(); ++b) {
+        const bool busy = (masks_.busy >> b) & 1;
+        if (masks_.requests[b] != want.requests[b] ||
+            masks_.hits[b] != want.hits[b] ||
+            busy != (((want.busy >> b) & 1) != 0))
+            tenoc_fatal("DRAM channel ", channel_id_, " bank ", b,
+                        " masks disagree with the queue at mem cycle ",
+                        now, ": requests ", masks_.requests[b],
+                        " (expected ", want.requests[b], "), row hits ",
+                        masks_.hits[b], " (expected ", want.hits[b],
+                        "), busy ", busy);
+    }
 }
 
 void
@@ -54,24 +134,35 @@ DramChannel::cycle(Cycle now)
     if (now < bus_free_at_)
         ++bus_busy_cycles_;
 
+    if (validate_)
+        auditMasks(now);
     if (queue_.empty())
         return;
     if (!returnSpace())
         sched_stats_.blockedByReturnBuffer.inc();
 
     if (now < idle_until_) {
-        // No command can be legal before idle_until_: the banks, the
+        // The pick cannot change before idle_until_: the banks, the
         // bus, the queue and the read-out buffer's occupancy only
         // change when a command issues, a request is pushed or a
-        // completed one is popped, and each of those clears it.
+        // completed one is popped, and each of those clears it.  So
+        // this cycle counts the same row hit (if any) and issues
+        // nothing.
+        if (idle_hit_) {
+            sched_stats_.rowHitPicks.inc();
+            sched_stats_.reorderDepth.sample(
+                static_cast<double>(*idle_hit_));
+        }
         if (validate_) {
             const FrFcfsPick p = FrFcfsScheduler::pick(*this, now);
-            if (!p.empty())
+            if (p.command != FrFcfsPick::Command::NONE ||
+                p.rowHit != idle_hit_)
                 tenoc_fatal("DRAM channel ", channel_id_,
                             " skipped mem cycle ", now, " (idle until ",
                             idle_until_, ") but FR-FCFS would ",
-                            p.rowHit ? "find a row hit"
-                                     : "issue a bank command");
+                            p.command != FrFcfsPick::Command::NONE
+                                ? "issue a command"
+                                : "find a different row hit");
         }
         return;
     }
@@ -82,6 +173,7 @@ DramChannel::cycle(Cycle now)
         sched_stats_.reorderDepth.sample(static_cast<double>(*p.rowHit));
     }
     idle_until_ = p.idleUntil;
+    idle_hit_ = p.rowHit;
     apply(p, now);
 }
 
@@ -106,20 +198,23 @@ DramChannel::apply(const FrFcfsPick &p, Cycle now)
         fl.req = std::move(req);
         fl.doneAt = data_end;
         in_flight_.push_back(std::move(fl));
-        queue_.erase(queue_.begin() +
-                     static_cast<std::ptrdiff_t>(p.index));
+        eraseAt(p.index);
         ++served_;
         break;
       }
-      case FrFcfsPick::Command::PRECHARGE:
-        banks_[queue_[p.index].coord.bank].precharge(now);
+      case FrFcfsPick::Command::PRECHARGE: {
+        const unsigned b = queue_[p.index].coord.bank;
+        banks_[b].precharge(now);
+        masks_.hits[b] = 0;
         break;
+      }
       case FrFcfsPick::Command::ACTIVATE: {
         DramRequest &req = queue_[p.index];
         banks_[req.coord.bank].activate(now, req.coord.row);
         req.openedRow = true;
         last_activate_ = now;
         ever_activated_ = true;
+        rebuildHitMask(req.coord.bank);
         break;
       }
     }
@@ -183,7 +278,8 @@ saveRequest(SnapshotWriter &w, const DramRequest &req)
 {
     w.u64(req.localAddr);
     w.boolean(req.write);
-    w.u64(req.tag);
+    w.u32(req.requester);
+    w.u64(req.addr);
     w.u64(req.arrival);
     w.u32(req.coord.bank);
     w.u64(req.coord.row);
@@ -196,7 +292,8 @@ loadRequest(SnapshotReader &r)
     DramRequest req;
     req.localAddr = r.u64();
     req.write = r.boolean();
-    req.tag = r.u64();
+    req.requester = r.u32();
+    req.addr = r.u64();
     req.arrival = r.u64();
     req.coord.bank = r.u32();
     req.coord.row = r.u64();
@@ -249,8 +346,11 @@ DramChannel::restore(SnapshotReader &r)
         bank.restore(r);
     queue_.clear();
     const std::uint64_t nq = r.u64();
+    tenoc_assert(nq <= params_.queueCapacity,
+                 "DRAM queue in snapshot exceeds its capacity");
     for (std::uint64_t i = 0; i < nq; ++i)
         queue_.push_back(loadRequest(r));
+    masks_ = computeMasks();
     in_flight_.clear();
     const std::uint64_t nf = r.u64();
     for (std::uint64_t i = 0; i < nf; ++i) {

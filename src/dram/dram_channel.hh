@@ -3,11 +3,17 @@
  * One GDDR3 channel: bounded request queue (32 entries, Table II),
  * FR-FCFS command scheduling over the banks, a shared data bus, and
  * completion delivery.
+ *
+ * The queue is an array in arrival order, so a request's position is
+ * its age rank.  Two words per bank index it: the positions of the
+ * bank's requests and the positions that hit the bank's open row.
+ * FrFcfsScheduler::pick() reads only these words and the banks.
  */
 
 #ifndef TENOC_DRAM_DRAM_CHANNEL_HH
 #define TENOC_DRAM_DRAM_CHANNEL_HH
 
+#include <array>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -25,7 +31,8 @@ class SnapshotReader;
 struct DramChannelParams
 {
     Gddr3Timing timing;
-    unsigned queueCapacity = 32; ///< Table II
+    /** Table II; at most DramChannel::MAX_QUEUE. */
+    unsigned queueCapacity = 32;
     /** Read-out buffer: when this many serviced requests are waiting
      *  to leave the controller (the reply path is blocked), no further
      *  CAS issues — the mechanism behind the paper's Fig. 11 stalls. */
@@ -35,6 +42,11 @@ struct DramChannelParams
 class DramChannel
 {
   public:
+    /** Queue positions index one mask word. */
+    static constexpr unsigned MAX_QUEUE = 64;
+    /** Banks index the scheduler's 32-bit busy-bank word. */
+    static constexpr unsigned MAX_BANKS = 32;
+
     explicit DramChannel(const DramChannelParams &params);
 
     /** @return true if one more request fits in the queue. */
@@ -46,9 +58,10 @@ class DramChannel
     /**
      * Advances one memory clock: retires finished bursts, then issues
      * at most one command chosen by FrFcfsScheduler::pick().  A cycle
-     * that finds no row hit and issues nothing remembers the pick's
-     * idleUntil and skips the scheduler until then; push(),
-     * popCompleted() and restore() forget it.
+     * that issues nothing remembers the pick's idleUntil and skips the
+     * scheduler until then, counting the row hit it found (if any) on
+     * every skipped cycle as pick() would; push(), popCompleted() and
+     * restore() forget it.
      */
     void cycle(Cycle now);
 
@@ -58,10 +71,16 @@ class DramChannel
     /** Cycles below this skip the scheduler (0 when not skipping). */
     Cycle idleUntil() const { return idle_until_; }
 
+    /** Queue position of the row hit each skipped cycle counts (none
+     *  when the memo found no row hit). */
+    std::optional<std::size_t> idleRowHit() const { return idle_hit_; }
+
     /**
-     * With `on`, every skipped cycle re-runs the scheduler's pick and
-     * is fatal if it would have found a row hit or issued a command;
-     * `channel` names the channel in that message.
+     * With `on`, every cycle recomputes the per-bank masks from the
+     * queue and every skipped cycle re-runs the scheduler's pick; a
+     * mask mismatch, or a skipped pick that would issue a command or
+     * find another row hit than the memo's, is fatal.  `channel` names
+     * the channel in those messages.
      */
     void
     setValidate(bool on, unsigned channel)
@@ -85,6 +104,14 @@ class DramChannel
     /** DRAM efficiency per the paper's footnote 7: data-pin busy time
      *  over time with pending requests. */
     double efficiency() const;
+
+    /** Flips one bit of `bank`'s row-hit mask, so tests can check
+     *  that validation notices corrupt derived state. */
+    void
+    flipHitMaskBitForTest(unsigned bank, unsigned pos)
+    {
+        masks_.hits[bank] ^= std::uint64_t{1} << pos;
+    }
 
     /** @return queue occupancy (for backpressure stats). */
     std::size_t queueDepth() const { return queue_.size(); }
@@ -116,9 +143,37 @@ class DramChannel
     /** Issues the command `p` chose at `now`. */
     void apply(const FrFcfsPick &p, Cycle now);
 
+    /** Removes queue position `pos`, shifting younger positions down
+     *  in every bank's masks. */
+    void eraseAt(std::size_t pos);
+
+    /** Bit masks over queue positions, kept in step with the queue
+     *  and the banks. */
+    struct Masks
+    {
+        /** Per bank: the positions of its requests. */
+        std::array<std::uint64_t, MAX_BANKS> requests{};
+        /** Per bank: those of them that hit its open row (zero while
+         *  the bank is idle). */
+        std::array<std::uint64_t, MAX_BANKS> hits{};
+        /** Banks with at least one queued request. */
+        std::uint32_t busy = 0;
+    };
+
+    /** Recomputes `bank`'s row-hit mask from its requests' rows. */
+    void rebuildHitMask(unsigned bank);
+
+    /** @return the masks recomputed from the queue and the banks. */
+    Masks computeMasks() const;
+
+    /** Fatal if a mask differs from its recomputation at `now`. */
+    void auditMasks(Cycle now) const;
+
     DramChannelParams params_;
     std::vector<DramBank> banks_;
-    std::deque<DramRequest> queue_;
+    /** Requests in arrival order; reserved to capacity up front. */
+    std::vector<DramRequest> queue_;
+    Masks masks_;
 
     struct InFlight
     {
@@ -142,6 +197,7 @@ class DramChannel
 
     /** Derived from the state above, so never serialized. */
     Cycle idle_until_ = 0;
+    std::optional<std::size_t> idle_hit_;
     bool validate_ = false;
     unsigned channel_id_ = 0;
 };

@@ -25,7 +25,10 @@ struct DramRequest
 {
     Addr localAddr = 0;      ///< channel-local address
     bool write = false;
-    std::uint64_t tag = 0;   ///< opaque handle returned on completion
+    /** Carried through to completion for the reply: the node that
+     *  asked and the global line address it asked for. */
+    NodeId requester = 0;
+    Addr addr = 0;
     Cycle arrival = 0;       ///< queue entry time (mem cycles)
     DramCoord coord;         ///< filled by the channel on push
     bool openedRow = false;  ///< an ACTIVATE was issued for this request
@@ -55,16 +58,11 @@ struct FrFcfsPick
     std::size_t index = 0;
     /** Oldest ready row hit, also when the data bus blocks its CAS. */
     std::optional<std::size_t> rowHit;
-    /** With no command and no row hit: the first cycle at which one
-     *  could become legal if the queue and the read-out buffer stay
-     *  as they are (INVALID_CYCLE if none can); 0 otherwise. */
+    /** With no command: the first cycle at which the pick could differ
+     *  if the queue and the read-out buffer stay as they are — a
+     *  command becomes legal or an older row hit becomes ready
+     *  (INVALID_CYCLE if neither can); 0 otherwise. */
     Cycle idleUntil = 0;
-
-    bool
-    empty() const
-    {
-        return command == Command::NONE && !rowHit;
-    }
 };
 
 /** FR-FCFS selection over a channel's request queue. */
@@ -77,6 +75,7 @@ class FrFcfsScheduler
      * is gated on read-out buffer space, so a blocked reply path
      * stalls the DRAM pipeline, Fig. 11); otherwise a precharge or
      * activate steered by each bank's oldest request, oldest first.
+     * Reads the channel's per-bank masks, never walks the queue.
      */
     static FrFcfsPick pick(const class DramChannel &ch, Cycle now);
 };

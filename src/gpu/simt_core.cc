@@ -211,13 +211,13 @@ void
 SimtCore::onReadReply(Addr line)
 {
     stall_memo_ = false;
-    for (std::uint64_t waiter : mshrs_.release(line)) {
+    mshrs_.release(line, [this](std::uint64_t waiter) {
         auto &warp = warps_[static_cast<std::size_t>(waiter)];
         tenoc_assert(warp.pendingReplies > 0,
                      "reply for warp with no pending requests");
         --warp.pendingReplies;
         if (warp.state != Warp::State::BLOCKED)
-            continue;
+            return;
         if (warp.instsRemaining == 0) {
             if (warp.pendingReplies == 0) {
                 warp.state = Warp::State::DONE;
@@ -226,7 +226,7 @@ SimtCore::onReadReply(Addr line)
         } else if (warp.pendingReplies < profile_.maxPendingLines) {
             warp.state = Warp::State::READY;
         }
-    }
+    });
 }
 
 void

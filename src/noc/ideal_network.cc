@@ -6,6 +6,7 @@
 #include "noc/ideal_network.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 #include "common/snapshot.hh"
@@ -21,6 +22,7 @@ IdealNetwork::IdealNetwork(const IdealNetworkParams &params)
                      "bandwidth-limited network needs a positive cap");
     }
     pending_.resize(topo_.numNodes());
+    busy_.assign((topo_.numNodes() + 63) / 64, 0);
     sinks_.assign(topo_.numNodes(), nullptr);
 }
 
@@ -55,7 +57,15 @@ IdealNetwork::inject(PacketPtr pkt, Cycle now)
     if (params_.bandwidthLimited)
         waiting_.push_back(std::move(pkt));
     else
-        pending_[pkt->dst].push_back(std::move(pkt));
+        accept(std::move(pkt));
+}
+
+void
+IdealNetwork::accept(PacketPtr pkt)
+{
+    const NodeId dst = pkt->dst;
+    pending_[dst].push_back(std::move(pkt));
+    busy_[dst / 64] |= std::uint64_t{1} << (dst % 64);
 }
 
 void
@@ -76,31 +86,43 @@ IdealNetwork::cycle(Cycle now)
             PacketPtr pkt = std::move(waiting_.front());
             waiting_.pop_front();
             tokens_ -= static_cast<double>(pkt->sizeFlits);
-            pending_[pkt->dst].push_back(std::move(pkt));
+            accept(std::move(pkt));
         }
     }
 
-    for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-        auto &q = pending_[n];
-        while (!q.empty()) {
-            Packet &pkt = *q.front();
-            if (sinks_[n] && !sinks_[n]->tryReserve(pkt))
-                break;
-            PacketPtr p = std::move(q.front());
-            q.pop_front();
-            p->injectedCycle = now;
-            p->ejectedCycle = now;
-            ++stats_.packetsEjected;
-            stats_.flitsEjected += p->sizeFlits;
-            stats_.nodeEjectedFlits[n] += p->sizeFlits;
-            stats_.nodeEjectedBytes[n] += p->sizeBytes;
-            stats_.totalLatency.sample(
-                static_cast<double>(now - p->createdCycle));
-            stats_.totalLatencyHist.sample(
-                static_cast<double>(now - p->createdCycle));
-            stats_.netLatency.sample(0.0);
-            if (sinks_[n])
-                sinks_[n]->deliver(std::move(p), now);
+    // Deliver in ascending destination order, visiting only busy
+    // destinations.  The busy word is re-read after each destination,
+    // so a packet a sink injects for a higher node is delivered this
+    // cycle, as in a sweep over every node.
+    for (std::size_t w = 0; w < busy_.size(); ++w) {
+        std::uint64_t above = ~std::uint64_t{0};
+        while (const std::uint64_t bits = busy_[w] & above) {
+            const auto bit = static_cast<unsigned>(std::countr_zero(bits));
+            above = bit == 63 ? 0 : ~std::uint64_t{0} << (bit + 1);
+            const auto n = static_cast<NodeId>(w * 64 + bit);
+            auto &q = pending_[n];
+            while (!q.empty()) {
+                Packet &pkt = *q.front();
+                if (sinks_[n] && !sinks_[n]->tryReserve(pkt))
+                    break;
+                PacketPtr p = std::move(q.front());
+                q.pop_front();
+                p->injectedCycle = now;
+                p->ejectedCycle = now;
+                ++stats_.packetsEjected;
+                stats_.flitsEjected += p->sizeFlits;
+                stats_.nodeEjectedFlits[n] += p->sizeFlits;
+                stats_.nodeEjectedBytes[n] += p->sizeBytes;
+                stats_.totalLatency.sample(
+                    static_cast<double>(now - p->createdCycle));
+                stats_.totalLatencyHist.sample(
+                    static_cast<double>(now - p->createdCycle));
+                stats_.netLatency.sample(0.0);
+                if (sinks_[n])
+                    sinks_[n]->deliver(std::move(p), now);
+            }
+            if (q.empty())
+                busy_[w] &= ~(std::uint64_t{1} << bit);
         }
     }
 }
@@ -110,8 +132,8 @@ IdealNetwork::drained() const
 {
     if (!waiting_.empty())
         return false;
-    for (const auto &q : pending_)
-        if (!q.empty())
+    for (const std::uint64_t w : busy_)
+        if (w)
             return false;
     return true;
 }
@@ -167,8 +189,12 @@ IdealNetwork::restore(SnapshotReader &r)
                                              : "");
     }
     stats_.restore(r);
-    for (auto &q : pending_)
-        restoreQueue(r, q);
+    std::fill(busy_.begin(), busy_.end(), 0);
+    for (NodeId n = 0; n < topo_.numNodes(); ++n) {
+        restoreQueue(r, pending_[n]);
+        if (!pending_[n].empty())
+            busy_[n / 64] |= std::uint64_t{1} << (n % 64);
+    }
     restoreQueue(r, waiting_);
     tokens_ = r.f64();
     next_pkt_id_ = r.u64();

@@ -59,12 +59,17 @@ class IdealNetwork : public Network
     void restore(SnapshotReader &r) override;
 
   private:
+    /** Queues `pkt` for delivery at its destination. */
+    void accept(PacketPtr pkt);
+
     IdealNetworkParams params_;
     Topology topo_;
     NetStats stats_;
 
     /** Packets accepted by the network, pending sink delivery. */
     std::vector<std::deque<PacketPtr>> pending_; ///< per destination
+    /** Destinations with a non-empty pending queue, 64 per word. */
+    std::vector<std::uint64_t> busy_;
     /** Packets not yet accepted (BW limit). */
     std::deque<PacketPtr> waiting_;
     double tokens_ = 0.0;

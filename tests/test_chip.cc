@@ -349,6 +349,24 @@ TEST(ChipCounters, TbDorMemorySideIsPinned)
         runCounters(ConfigId::BASELINE_TB_DOR, "BFS", 0.05), want);
 }
 
+TEST(Chip, LayerProfileSplitsHostTimeWithoutChangingResults)
+{
+    const auto params = makeConfig(ConfigId::PERFECT);
+    const auto prof = quick("BFS", 0.05);
+    const ChipResult plain = runWorkload(params, prof);
+    ChipLayerProfile layers;
+    RunOptions opts;
+    opts.layerProfile = &layers;
+    const ChipResult split = runWorkload(params, prof, nullptr, opts);
+    EXPECT_EQ(split.coreCycles, plain.coreCycles);
+    EXPECT_EQ(split.scalarInsts, plain.scalarInsts);
+    EXPECT_EQ(split.packetsEjected, plain.packetsEjected);
+    EXPECT_GT(layers.coresNs, 0u);
+    EXPECT_GT(layers.mcL2Ns, 0u);
+    EXPECT_GT(layers.dramNs, 0u);
+    EXPECT_GT(layers.networkNs, 0u);
+}
+
 TEST(Chip, EnvScaleParsing)
 {
     ::setenv("TENOC_SCALE", "0.25", 1);

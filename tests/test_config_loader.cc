@@ -122,5 +122,18 @@ TEST(ConfigLoaderDeath, UnknownPlacementIsFatal)
                 ::testing::ExitedWithCode(1), "unknown placement");
 }
 
+TEST(ConfigLoaderDeath, DramQueueWiderThanMaskIsFatal)
+{
+    Config cfg;
+    cfg.set("dram.queueCapacity", 65);
+    EXPECT_EXIT(chipParamsFromConfig(cfg), ::testing::ExitedWithCode(1),
+                "dram.queueCapacity must lie in \\[1, 64\\] \\(got 65\\)");
+
+    // 64 is the widest queue the masks index.
+    Config widest;
+    widest.set("dram.queueCapacity", 64);
+    EXPECT_EQ(chipParamsFromConfig(widest).mc.dram.queueCapacity, 64u);
+}
+
 } // namespace
 } // namespace tenoc

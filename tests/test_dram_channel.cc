@@ -21,20 +21,22 @@ params()
     return DramChannelParams{};
 }
 
+/** A read of `local`; the channel carries the global address through
+ *  untouched, so the tests use it as the request's id. */
 DramRequest
-read(Addr local, std::uint64_t tag)
+read(Addr local, std::uint64_t id)
 {
     DramRequest r;
     r.localAddr = local;
     r.write = false;
-    r.tag = tag;
+    r.addr = id;
     return r;
 }
 
 DramRequest
-write(Addr local, std::uint64_t tag)
+write(Addr local, std::uint64_t id)
 {
-    DramRequest r = read(local, tag);
+    DramRequest r = read(local, id);
     r.write = true;
     return r;
 }
@@ -60,7 +62,7 @@ TEST(DramChannel, SingleReadCompletes)
     Cycle now = 0;
     const auto done = runUntil(ch, 1, now);
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0].tag, 1u);
+    EXPECT_EQ(done[0].addr, 1u);
     // ACT(0) -> CAS(12) -> data at 12+9+4 = 25.
     EXPECT_NEAR(static_cast<double>(now), 26.0, 3.0);
     EXPECT_TRUE(ch.idle());
@@ -127,9 +129,9 @@ TEST(DramChannel, FrFcfsPrefersRowHitOverOlderMiss)
     Cycle now = 0;
     const auto done = runUntil(ch, 3, now);
     ASSERT_EQ(done.size(), 3u);
-    EXPECT_EQ(done[0].tag, 1u);
-    EXPECT_EQ(done[1].tag, 3u); // out-of-order row hit first
-    EXPECT_EQ(done[2].tag, 2u);
+    EXPECT_EQ(done[0].addr, 1u);
+    EXPECT_EQ(done[1].addr, 3u); // out-of-order row hit first
+    EXPECT_EQ(done[2].addr, 2u);
     EXPECT_GE(ch.rowHits(), 1u);
 }
 
@@ -228,8 +230,11 @@ TEST(DramChannelIdleMemo, ActivateWaitsOnTrrd)
     ch.push(read(at(1, 0), 2), 0);
     cycleRange(ch, 0, 2); // ACT bank 0 at 0; bank 1 waits on tRRD
     EXPECT_EQ(ch.idleUntil(), 8u);
-    for (Cycle t = 2; t < 8; ++t)
-        EXPECT_TRUE(FrFcfsScheduler::pick(ch, t).empty()) << t;
+    for (Cycle t = 2; t < 8; ++t) {
+        const FrFcfsPick p = FrFcfsScheduler::pick(ch, t);
+        EXPECT_EQ(p.command, FrFcfsPick::Command::NONE) << t;
+        EXPECT_FALSE(p.rowHit) << t;
+    }
     cycleRange(ch, 2, 8);
     EXPECT_EQ(ch.bank(1).state(), DramBank::State::IDLE);
     ch.cycle(8);
@@ -303,19 +308,47 @@ TEST(DramChannelIdleMemo, PushMidSkipIsServedOnTime)
     for (Cycle t = 30; t < 100 && done_at == 0; ++t) {
         ch.cycle(t);
         while (auto r = ch.popCompleted()) {
-            if (r->tag == 3)
+            if (r->addr == 3)
                 done_at = t;
         }
     }
     EXPECT_EQ(done_at, 55u);
 }
 
+/** Pushes a random request to `ch` at `t` with probability 0.3: reads
+ *  and writes over every bank, three rows and 32 columns. */
+void
+maybePushRandom(DramChannel &ch, Rng &rng, Cycle t, std::uint64_t &id)
+{
+    if (!ch.canAccept() || !rng.nextBool(0.3))
+        return;
+    const Addr a = at(static_cast<unsigned>(rng.nextRange(8)),
+                      rng.nextRange(3),
+                      static_cast<unsigned>(rng.nextRange(32)));
+    ch.push(rng.nextBool(0.3) ? write(a, id) : read(a, id), t);
+    ++id;
+}
+
+/** True if the channel, skipping at `s`, does what pick() would: no
+ *  command, and the same row hit counted. */
+::testing::AssertionResult
+skipMatchesPick(const DramChannel &ch, Cycle s)
+{
+    const FrFcfsPick p = FrFcfsScheduler::pick(ch, s);
+    if (p.command != FrFcfsPick::Command::NONE)
+        return ::testing::AssertionFailure() << "a command is legal";
+    if (p.rowHit != ch.idleRowHit())
+        return ::testing::AssertionFailure() << "another row hit";
+    return ::testing::AssertionSuccess();
+}
+
 /**
  * Seeded random read/write streams over mixed banks and rows, with a
  * two-entry read-out buffer drained at random so it is often full.
- * Whenever a cycle arms the idle memo, the pick must be empty at
- * every cycle below the bound and not empty at the bound itself; a
- * skipped cycle's pick must be empty too.
+ * Whenever a cycle arms the idle memo, the pick at every cycle below
+ * the bound must be the armed one (no command, the same row hit or
+ * none) and must differ at the bound itself; a skipped cycle's pick
+ * must be the armed one too.
  */
 TEST(DramChannelIdleMemo, BoundHoldsOnRandomStreams)
 {
@@ -325,34 +358,29 @@ TEST(DramChannelIdleMemo, BoundHoldsOnRandomStreams)
         p.returnBufferCap = 2;
         DramChannel ch(p);
         Rng rng(seed);
-        std::uint64_t tag = 0;
+        std::uint64_t id = 0;
         unsigned armed = 0;
+        unsigned armed_hits = 0;
         unsigned skipped = 0;
         for (Cycle t = 0; t < 3000; ++t) {
-            if (ch.canAccept() && rng.nextBool(0.3)) {
-                const Addr a =
-                    at(static_cast<unsigned>(rng.nextRange(8)),
-                       rng.nextRange(3),
-                       static_cast<unsigned>(rng.nextRange(32)));
-                ch.push(rng.nextBool(0.3) ? write(a, tag) : read(a, tag),
-                        t);
-                ++tag;
-            }
+            maybePushRandom(ch, rng, t, id);
             if (t < ch.idleUntil()) {
                 ++skipped;
-                EXPECT_TRUE(FrFcfsScheduler::pick(ch, t).empty()) << t;
+                EXPECT_TRUE(skipMatchesPick(ch, t)) << t;
             }
             ch.cycle(t);
             const Cycle bound = ch.idleUntil();
             if (bound > t + 1) {
                 ++armed;
+                if (ch.idleRowHit())
+                    ++armed_hits;
                 const Cycle last = std::min<Cycle>(bound, t + 200);
                 for (Cycle s = t + 1; s < last; ++s)
-                    ASSERT_TRUE(FrFcfsScheduler::pick(ch, s).empty())
+                    ASSERT_TRUE(skipMatchesPick(ch, s))
                         << "armed at " << t << " until " << bound
-                        << ", ready at " << s;
+                        << ", pick changed at " << s;
                 if (bound != INVALID_CYCLE) {
-                    EXPECT_FALSE(FrFcfsScheduler::pick(ch, bound).empty())
+                    EXPECT_FALSE(skipMatchesPick(ch, bound))
                         << "armed at " << t << " until " << bound;
                 }
             }
@@ -360,10 +388,57 @@ TEST(DramChannelIdleMemo, BoundHoldsOnRandomStreams)
                 ch.popCompleted();
         }
         EXPECT_GT(armed, 50u);
+        EXPECT_GT(armed_hits, 20u);
         EXPECT_GT(skipped, 100u);
         EXPECT_GT(ch.schedStats().blockedByReturnBuffer.value(), 100u);
         EXPECT_GT(ch.servedRequests(), 300u);
         EXPECT_GT(ch.rowMisses(), 50u);
+    }
+}
+
+/**
+ * The channel's row_hit_picks and reorder_depth, kept partly by the
+ * idle memo on skipped cycles, equal a reference that runs the
+ * side-effect-free pick() on every cycle.  Validation is on, so the
+ * masks are audited every cycle as well.
+ */
+TEST(DramChannelIdleMemo, StatsMatchPerCycleReference)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(seed);
+        auto p = params();
+        p.returnBufferCap = 2;
+        DramChannel ch(p);
+        ch.setValidate(true, 0);
+        Rng rng(seed + 100);
+        std::uint64_t id = 0;
+        std::uint64_t picks = 0;
+        Accumulator depth;
+        unsigned skipped_hits = 0;
+        for (Cycle t = 0; t < 3000; ++t) {
+            maybePushRandom(ch, rng, t, id);
+            // Retiring bursts at the top of cycle() leaves the banks,
+            // the queue and the read-out buffer's occupancy alone, so
+            // the pick before the cycle is the pick within it.
+            const FrFcfsPick ref = FrFcfsScheduler::pick(ch, t);
+            if (ref.rowHit) {
+                ++picks;
+                depth.sample(static_cast<double>(*ref.rowHit));
+                if (t < ch.idleUntil())
+                    ++skipped_hits;
+            }
+            ch.cycle(t);
+            if (rng.nextBool(0.4))
+                ch.popCompleted();
+        }
+        const FrFcfsStats &st = ch.schedStats();
+        EXPECT_EQ(st.rowHitPicks.value(), picks);
+        EXPECT_EQ(st.reorderDepth.count(), depth.count());
+        EXPECT_EQ(st.reorderDepth.sum(), depth.sum());
+        EXPECT_EQ(st.reorderDepth.min(), depth.min());
+        EXPECT_EQ(st.reorderDepth.max(), depth.max());
+        EXPECT_GT(skipped_hits, 50u);
+        EXPECT_GT(depth.max(), 0.0);
     }
 }
 
@@ -373,6 +448,26 @@ TEST(DramChannelDeath, OverflowPanics)
     for (unsigned i = 0; i < 32; ++i)
         ch.push(read(i * 64, i), 0);
     EXPECT_DEATH(ch.push(read(0x8000, 99), 0), "overflow");
+}
+
+TEST(DramChannelDeath, ValidationCatchesCorruptHitMask)
+{
+    DramChannel ch(params());
+    ch.setValidate(true, 3);
+    ch.push(read(at(0, 0), 1), 0);
+    ch.push(read(at(0, 0, 1), 2), 0);
+    cycleRange(ch, 0, 5); // ACT at 0: both requests hit row 0
+    ch.cycle(5);          // the audit passes on intact masks
+    ch.flipHitMaskBitForTest(0, 1);
+    EXPECT_DEATH(ch.cycle(6), "DRAM channel 3 bank 0 masks disagree with "
+                              "the queue at mem cycle 6");
+}
+
+TEST(DramChannelDeath, QueueCapacityAboveMaskWidthPanics)
+{
+    auto p = params();
+    p.queueCapacity = DramChannel::MAX_QUEUE + 1;
+    EXPECT_DEATH(DramChannel ch(p), "queue capacity");
 }
 
 } // namespace

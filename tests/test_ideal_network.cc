@@ -134,5 +134,95 @@ TEST(IdealNetwork, StatsTrackPerNodeTraffic)
     EXPECT_EQ(net.stats().nodeInjectedBytes[1], 64u);
 }
 
+/** Accepts at most `budget` packets per cycle (the test refills it)
+ *  and logs each delivery as (node, packet addr, cycle). */
+struct ThrottledSink : PacketSink
+{
+    struct Delivery
+    {
+        NodeId node;
+        Addr addr;
+        Cycle at;
+    };
+
+    ThrottledSink(NodeId n, std::vector<Delivery> &log) : node(n), log(log)
+    {}
+    bool
+    tryReserve(const Packet &) override
+    {
+        if (budget == 0)
+            return false;
+        --budget;
+        return true;
+    }
+    void
+    deliver(PacketPtr p, Cycle now) override
+    {
+        log.push_back(Delivery{node, p->addr, now});
+    }
+
+    NodeId node;
+    std::vector<Delivery> &log;
+    unsigned budget = 0;
+};
+
+TEST(IdealNetwork, BackpressuredDestinationsKeepFifoOrder)
+{
+    IdealNetwork net(perfectParams());
+    std::vector<ThrottledSink::Delivery> log;
+    ThrottledSink high(30, log);
+    ThrottledSink low(4, log);
+    net.setSink(30, &high);
+    net.setSink(4, &low);
+    // Interleaved injections: five packets to node 30, three to node 4.
+    for (Addr i = 0; i < 5; ++i) {
+        auto to_high = pkt(0, 30, 1);
+        to_high->addr = 100 + i;
+        net.inject(std::move(to_high), 0);
+        if (i < 3) {
+            auto to_low = pkt(1, 4, 1);
+            to_low->addr = 200 + i;
+            net.inject(std::move(to_low), 0);
+        }
+    }
+    // Both sinks blocked: nothing moves, nothing is lost.
+    net.cycle(0);
+    EXPECT_TRUE(log.empty());
+    EXPECT_FALSE(net.drained());
+
+    // Partial delivery: two to each sink per cycle.
+    high.budget = low.budget = 2;
+    net.cycle(1);
+    ASSERT_EQ(log.size(), 4u);
+    EXPECT_FALSE(net.drained());
+    high.budget = low.budget = 2;
+    net.cycle(2);
+    ASSERT_EQ(log.size(), 7u); // node 4 ran dry after three
+    EXPECT_FALSE(net.drained());
+
+    // Only node 30 is still busy; node 4's queue stays empty.
+    high.budget = 0;
+    low.budget = 5;
+    net.cycle(3);
+    EXPECT_EQ(log.size(), 7u);
+    EXPECT_FALSE(net.drained());
+    high.budget = 5;
+    net.cycle(4);
+    ASSERT_EQ(log.size(), 8u);
+    EXPECT_TRUE(net.drained());
+
+    // Ascending node order within a cycle, FIFO order per node.
+    const std::vector<std::pair<NodeId, Addr>> expect = {
+        {4, 200}, {4, 201}, {30, 100}, {30, 101},
+        {4, 202}, {30, 102}, {30, 103}, {30, 104}};
+    const std::vector<Cycle> at = {1, 1, 1, 1, 2, 2, 2, 4};
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(log[i].node, expect[i].first);
+        EXPECT_EQ(log[i].addr, expect[i].second);
+        EXPECT_EQ(log[i].at, at[i]);
+    }
+}
+
 } // namespace
 } // namespace tenoc

@@ -255,7 +255,25 @@ TEST(Snapshot, RejectsFormatVersion3Blob)
     std::string error;
     EXPECT_FALSE(openSnapshot(blob, r, &error));
     EXPECT_EQ(error, "snapshot format version 3 incompatible with this"
-                     " build (expects 4)");
+                     " build (expects 5)");
+}
+
+TEST(Snapshot, RejectsFormatVersion4Blob)
+{
+    // Format 4 still tagged DRAM requests and kept the MC's
+    // tag-to-requester map; such a blob must be refused up front, not
+    // misparsed.
+    SnapshotWriter w;
+    w.u32(7);
+    auto blob = sealSnapshot(w);
+    blob[4] = 4; // format version field (after the magic), little-endian
+    blob[5] = blob[6] = blob[7] = 0;
+
+    SnapshotReader r;
+    std::string error;
+    EXPECT_FALSE(openSnapshot(blob, r, &error));
+    EXPECT_EQ(error, "snapshot format version 4 incompatible with this"
+                     " build (expects 5)");
 }
 
 TEST(Snapshot, RejectsWrongSimulatorVersion)
